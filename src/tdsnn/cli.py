@@ -51,6 +51,13 @@ def _parse_range(text: str) -> tuple[float, float]:
             f"range must look like '15:200', got {text!r}") from None
 
 
+def _timed_write_traces(traces, out_dir) -> float:
+    """Write the trace CSVs; return the seconds it took."""
+    with Stopwatch() as sw:
+        write_traces(traces, out_dir)
+    return sw.elapsed
+
+
 def cmd_simulate_neuron(args) -> int:
     with Stopwatch() as sw:
         cfg = NetworkConfig(n_neurons=1, seed=args.seed, dt=args.dt)
@@ -65,10 +72,10 @@ def cmd_simulate_neuron(args) -> int:
     rate = n_spikes / args.duration
     print(f"neuron: {n_spikes} spikes in {args.duration:g} s ({rate:.2f} Hz)")
     if args.trace:
-        write_traces(traces, args.trace)
+        write_s = _timed_write_traces(traces, args.trace)
         summary = RunSummary(command="simulate-neuron", seed=args.seed,
                              metrics={"spikes": n_spikes, "rate_hz": rate},
-                             wall_clock_s=sw.elapsed)
+                             wall_clock_s=sw.elapsed, write_s=write_s)
         write_summary(summary, args.trace)
     return 0
 
@@ -94,10 +101,10 @@ def cmd_simulate_synapse(args) -> int:
                           spikes=[edges], sample_times=times[sel],
                           v_mem=np.zeros((len(times[sel]), 1)),
                           v_syn=v_syn[sel, None], freq_hz=freq[sel, None])
-        write_traces(traces, args.trace)
+        write_s = _timed_write_traces(traces, args.trace)
         summary = RunSummary(command="simulate-synapse", seed=0,
                              metrics={"edges": len(edges), "rate_hz": rate},
-                             wall_clock_s=sw.elapsed)
+                             wall_clock_s=sw.elapsed, write_s=write_s)
         write_summary(summary, args.trace)
     return 0
 
@@ -114,13 +121,13 @@ def cmd_network_run(args) -> int:
     print(f"network: {net_cfg.n_neurons} neurons, {net.n_connections} connections, "
           f"{int(counts.sum())} spikes in {args.duration:g} s")
     if args.out:
-        write_traces(traces, args.out)
+        write_s = _timed_write_traces(traces, args.out)
         summary = RunSummary(command="network run", seed=net_cfg.seed,
                              metrics={"total_spikes": int(counts.sum()),
                                       "mean_rate_hz": counts.mean() / args.duration},
                              config_echo=serialize_config(
                                  replace(cfg, network=net_cfg)),
-                             wall_clock_s=sw.elapsed)
+                             wall_clock_s=sw.elapsed, write_s=write_s)
         write_summary(summary, args.out)
     return 0
 
@@ -148,7 +155,7 @@ def cmd_reservoir_train(args) -> int:
     print(f"reservoir train: range {lo:g}-{hi:g} Hz, "
           f"autonomous NRMSE = {metrics.get('nrmse', float('nan')):.4f}")
     out = Path(args.out)
-    write_traces(traces, out)
+    write_s = _timed_write_traces(traces, out)
     cfg_echo = serialize_config(
         SimulationConfig(network=net_cfg, train=train_cfg, feedback=cfg.feedback))
     weights = {
@@ -164,7 +171,7 @@ def cmd_reservoir_train(args) -> int:
         raise OSError(f"cannot write weights file: {exc}") from exc
     summary = RunSummary(command="reservoir train", seed=net_cfg.seed,
                          metrics=metrics, config_echo=cfg_echo,
-                         wall_clock_s=sw.elapsed)
+                         wall_clock_s=sw.elapsed, write_s=write_s)
     write_summary(summary, out)
     return 0
 
@@ -191,10 +198,10 @@ def cmd_reservoir_eval(args) -> int:
     print(f"reservoir eval: NRMSE = {metrics['nrmse']:.4f} over "
           f"{args.periods} periods")
     if args.out:
-        write_traces(traces, args.out)
+        write_s = _timed_write_traces(traces, args.out)
         summary = RunSummary(command="reservoir eval", seed=cfg.network.seed,
                              metrics=metrics, config_echo=payload["config"],
-                             wall_clock_s=sw.elapsed)
+                             wall_clock_s=sw.elapsed, write_s=write_s)
         write_summary(summary, args.out)
     return 0
 

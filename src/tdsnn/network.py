@@ -93,10 +93,6 @@ class Network:
     def n_connections(self) -> int:
         return len(self.pre)
 
-    def connection_list(self) -> list[Connection]:
-        return [Connection(int(a), int(b), "exc" if e else "inh", int(c))
-                for a, b, e, c in zip(self.pre, self.post, self.is_exc, self.codes)]
-
 
 def build_network(config: NetworkConfig) -> Network:
     """Materialize a topology from the config, deterministically in the seed.

@@ -43,15 +43,6 @@ class PulseTrain:
     def empty(cls) -> "PulseTrain":
         return cls(np.empty(0), np.empty(0))
 
-    @classmethod
-    def from_pairs(cls, pairs) -> "PulseTrain":
-        """Build from an iterable of (rise_time, width) tuples."""
-        pairs = list(pairs)
-        if not pairs:
-            return cls.empty()
-        rises, widths = zip(*pairs)
-        return cls(np.array(rises, dtype=float), np.array(widths, dtype=float))
-
     def __len__(self) -> int:
         return len(self.rises)
 

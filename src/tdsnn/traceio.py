@@ -1,7 +1,12 @@
 """Trace serialization: CSV files plus a JSON run summary.
 
 Output is byte-stable for identical inputs: fixed column schemas, fixed row
-ordering, floats printed with 9 significant digits.
+ordering, and every float printed as ``"%.9g" % float(x)``. That is the same
+conversion as ``format(float(x), ".9g")``: 9 significant digits, exponent
+form below 1e-4 and from 1e9 on, and ``nan``, ``inf``, ``-inf`` and ``-0``
+spelled as Python spells them. Rows are formatted a block at a time, with
+one ``%`` operation per sample of membrane.csv and synapse.csv, per neuron
+of spikes.csv, and for the whole of output.csv.
 """
 
 from __future__ import annotations
@@ -16,8 +21,18 @@ import numpy as np
 from .network import TraceSet
 
 
-def _f(x) -> str:
-    return format(float(x), ".9g")
+def _floats(values) -> list:
+    """The values as Python floats, the doubles that float(x) would give."""
+    return np.asarray(values, dtype=float).tolist()
+
+
+def _interleave(columns: list) -> tuple:
+    """(a0, b0, ..., a1, b1, ...) from the equal-length columns a, b, ..."""
+    width = len(columns)
+    args = [None] * (width * len(columns[0]))
+    for j, column in enumerate(columns):
+        args[j::width] = column
+    return tuple(args)
 
 
 def write_traces(traces: TraceSet, out_dir) -> list[str]:
@@ -33,74 +48,73 @@ def write_traces(traces: TraceSet, out_dir) -> list[str]:
         raise OSError(f"cannot create trace directory {out}: {exc}") from exc
     paths = []
 
-    def _write(name: str, header: str, rows) -> None:
+    def _write(name: str, header: str, blocks) -> None:
         path = out / name
         try:
             with open(path, "w", newline="") as fh:
                 fh.write(header + "\n")
-                for row in rows:
-                    fh.write(row + "\n")
+                fh.writelines(blocks)
         except OSError as exc:
             raise OSError(f"cannot write trace file {path}: {exc}") from exc
         paths.append(str(path))
 
-    def spike_rows():
+    n = traces.n_neurons
+
+    def spike_blocks():
         for i, times in enumerate(traces.spikes):
-            for t in times:
-                yield f"{i},{_f(t)}"
+            times = _floats(times)
+            yield f"{i},%.9g\n" * len(times) % tuple(times)
 
-    def membrane_rows():
-        for si, t in enumerate(traces.sample_times):
-            ts = _f(t)
-            for i in range(traces.n_neurons):
-                yield f"{ts},{i},{_f(traces.v_mem[si, i])}"
+    def sample_blocks(*series):
+        value_fields = ",%.9g" * len(series)
+        block = "".join(f"%s,{i}{value_fields}\n" for i in range(n))
+        for si, t in enumerate(_floats(traces.sample_times)):
+            columns = [["%.9g" % t] * n] + [_floats(s[si]) for s in series]
+            yield block % _interleave(columns)
 
-    def synapse_rows():
-        for si, t in enumerate(traces.sample_times):
-            ts = _f(t)
-            for i in range(traces.n_neurons):
-                yield (f"{ts},{i},{_f(traces.v_syn[si, i])},"
-                       f"{_f(traces.freq_hz[si, i])}")
-
-    def output_rows():
+    def output_blocks():
         if traces.z_times is None:
             return
-        for t, z, tgt in zip(traces.z_times, traces.z, traces.target):
-            yield f"{_f(t)},{_f(z)},{_f(tgt)}"
+        columns = [_floats(traces.z_times), _floats(traces.z),
+                   _floats(traces.target)]
+        yield "%.9g,%.9g,%.9g\n" * len(columns[0]) % _interleave(columns)
 
-    _write("spikes.csv", "neuron_id,time_s", spike_rows())
-    _write("membrane.csv", "time_s,neuron_id,v_mem", membrane_rows())
-    _write("synapse.csv", "time_s,synapse_id,v_syn,freq_hz", synapse_rows())
-    _write("output.csv", "time_s,z,target", output_rows())
+    _write("spikes.csv", "neuron_id,time_s", spike_blocks())
+    _write("membrane.csv", "time_s,neuron_id,v_mem", sample_blocks(traces.v_mem))
+    _write("synapse.csv", "time_s,synapse_id,v_syn,freq_hz",
+           sample_blocks(traces.v_syn, traces.freq_hz))
+    _write("output.csv", "time_s,z,target", output_blocks())
     return paths
 
 
 def read_csv_columns(path) -> dict:
-    """Read one of our CSVs back into {column: float array or int array}."""
+    """Read one of our CSVs back into {column: float array or int array}.
+
+    Columns named ``*_id`` are ints, the rest floats; a header-only file
+    gives empty arrays.
+    """
     with open(path) as fh:
         header = fh.readline().strip().split(",")
-        cols = {h: [] for h in header}
-        for line in fh:
-            for h, v in zip(header, line.strip().split(",")):
-                cols[h].append(v)
-    out = {}
-    for h, vals in cols.items():
-        if h.endswith("_id"):
-            out[h] = np.array([int(v) for v in vals], dtype=int)
-        else:
-            out[h] = np.array([float(v) for v in vals])
-    return out
+        rows = [line.strip().split(",") for line in fh]
+    columns = list(zip(*rows)) or [()] * len(header)
+    return {h: np.array(column, dtype=int if h.endswith("_id") else float)
+            for h, column in zip(header, columns)}
 
 
 @dataclass
 class RunSummary:
-    """Scalar record of one run: config echo, metrics, seed, wall clock."""
+    """Scalar record of one run: config echo, metrics, seed, wall clock.
+
+    wall_clock_s covers building and simulating; write_s is the time spent
+    writing the trace CSVs, which wall_clock_s leaves out.
+    """
 
     command: str
     seed: int
     metrics: dict = field(default_factory=dict)
     config_echo: str = ""
     wall_clock_s: float = 0.0
+    write_s: float = 0.0
 
     def validate(self) -> None:
         for key, value in self.metrics.items():
@@ -115,6 +129,7 @@ class RunSummary:
             "metrics": {k: float(v) for k, v in sorted(self.metrics.items())},
             "config_echo": self.config_echo,
             "wall_clock_s": round(self.wall_clock_s, 3),
+            "write_s": round(self.write_s, 3),
         }
         return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 

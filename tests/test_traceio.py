@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tdsnn import TraceSet, write_traces
+from tdsnn import TraceSet, read_csv_columns, write_traces
 
 DATA = Path(__file__).parent / "data" / "traceio"
 FILES = ("spikes.csv", "membrane.csv", "synapse.csv", "output.csv")
@@ -55,3 +55,38 @@ def test_write_traces_matches_golden_bytes(case, tmp_path):
     for name in FILES:
         expected = (DATA / case / name).read_bytes()
         assert (tmp_path / "out" / name).read_bytes() == expected, name
+
+
+@pytest.mark.parametrize("case", ["network", "readout", "empty"])
+def test_read_csv_columns_round_trip(case, tmp_path):
+    traces = golden_traces(case)
+    write_traces(traces, tmp_path)
+    n, n_samples = traces.n_neurons, len(traces.sample_times)
+    sample_times = np.repeat(traces.sample_times, n)
+    ids = np.tile(np.arange(n), n_samples)
+    readout = (traces.z_times, traces.z, traces.target)
+    if traces.z_times is None:
+        readout = ([], [], [])
+    expected = {
+        "spikes.csv": {
+            "neuron_id": [i for i, times in enumerate(traces.spikes) for _ in times],
+            "time_s": np.concatenate([np.asarray(s, float) for s in traces.spikes])},
+        "membrane.csv": {"time_s": sample_times, "neuron_id": ids,
+                         "v_mem": traces.v_mem.ravel()},
+        "synapse.csv": {"time_s": sample_times, "synapse_id": ids,
+                        "v_syn": traces.v_syn.ravel(),
+                        "freq_hz": traces.freq_hz.ravel()},
+        "output.csv": dict(zip(("time_s", "z", "target"), readout)),
+    }
+    for name, columns in expected.items():
+        got = read_csv_columns(tmp_path / name)
+        assert list(got) == list(columns), name
+        for column, want in columns.items():
+            if column.endswith("_id"):
+                assert got[column].dtype.kind == "i"
+                np.testing.assert_array_equal(got[column], want)
+            else:
+                assert got[column].dtype == np.float64
+                # 9 significant digits: relative error at most 5e-9
+                np.testing.assert_allclose(got[column], np.asarray(want, float),
+                                           rtol=5e-9, atol=0)
