@@ -3,10 +3,10 @@
 Output is byte-stable for identical inputs: fixed column schemas, fixed row
 ordering, and every float printed as ``"%.9g" % float(x)``. That is the same
 conversion as ``format(float(x), ".9g")``: 9 significant digits, exponent
-form below 1e-4 and from 1e9 on, and ``nan``, ``inf``, ``-inf`` and ``-0``
-spelled as Python spells them. Rows are formatted a block at a time, with
-one ``%`` operation per sample of membrane.csv and synapse.csv, per neuron
-of spikes.csv, and for the whole of output.csv.
+form for magnitudes below 1e-4 and from 1e9 on, and ``nan``, ``inf``,
+``-inf`` and ``-0`` spelled as Python spells them. Rows are formatted a
+block at a time, with one ``%`` operation per sample of membrane.csv and
+synapse.csv, per neuron of spikes.csv, and for the whole of output.csv.
 """
 
 from __future__ import annotations

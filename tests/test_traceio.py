@@ -4,7 +4,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tdsnn import TraceSet, read_csv_columns, write_traces
+from tdsnn import TraceSet, write_traces
+from tdsnn.traceio import read_csv_columns
 
 DATA = Path(__file__).parent / "data" / "traceio"
 FILES = ("spikes.csv", "membrane.csv", "synapse.csv", "output.csv")
