@@ -9,7 +9,7 @@ trains a linear readout online with recursive least squares.
 
 from .errors import CalibrationError, ConfigurationError
 from .neuron import NeuronParams, NeuronState, free_run_period, neuron_step
-from .pulses import PulseTrain, merge_or, periodic_train
+from .pulses import PulseTrain, periodic_train
 from .synapse import (SynapseParams, SynapseState, osc_frequency,
                       steady_state_frequency, steady_state_v, synapse_step)
 from .weight import WeightParams, pulse_width, shape_pulses
@@ -28,7 +28,7 @@ __version__ = "0.1.0"
 __all__ = [
     "CalibrationError", "ConfigurationError",
     "NeuronParams", "NeuronState", "free_run_period", "neuron_step",
-    "PulseTrain", "merge_or", "periodic_train",
+    "PulseTrain", "periodic_train",
     "SynapseParams", "SynapseState", "osc_frequency", "steady_state_frequency",
     "steady_state_v", "synapse_step",
     "WeightParams", "pulse_width", "shape_pulses",

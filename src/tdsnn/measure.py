@@ -3,7 +3,11 @@ and calibration against the measured anchor frequencies.
 
 The drivers mirror the bench setup: a square-wave source stands in for a
 pre-stage synapse, a weight module shapes it into pulses, and the neuron or
-neuron+synapse chain under test is stepped at a fixed dt.
+neuron+synapse chain under test is stepped at a fixed dt. The steps are
+those of neuron_step and synapse_step, bit for bit, but run_neuron,
+run_synapse and run_chain pay per event, not per step: neuron_run and
+synapse_run fold the steps between input-level changes, spikes and ring
+wraps with NumPy accumulates.
 """
 
 from __future__ import annotations
@@ -15,10 +19,13 @@ import numpy as np
 from scipy.optimize import least_squares
 
 from .errors import CalibrationError
-from .neuron import NeuronParams, NeuronState, neuron_step, free_run_period
-from .pulses import PulseTrain, periodic_train
-from .synapse import (SynapseParams, SynapseState, osc_frequency, synapse_step,
-                      steady_state_frequency)
+# neuron_step and synapse_step are the per-step reference that the run_*
+# functions reproduce; they stay importable from here.
+from .neuron import (NeuronParams, free_run_period, neuron_run,  # noqa: F401
+                     neuron_step)
+from .pulses import PulseTrain
+from .synapse import (SynapseParams, check_dt,  # noqa: F401
+                      steady_state_frequency, synapse_run, synapse_step)
 from .weight import WeightParams, shape_pulses
 
 
@@ -61,66 +68,58 @@ def weighted_drive(input_freq: float, code: int, duration: float,
     return shape_pulses(edges, code, weight)
 
 
+def _n_steps(duration: float, dt: float) -> int:
+    if not dt > 0:
+        raise ValueError("dt must be positive")
+    if not duration > 0:
+        raise ValueError("duration must be positive")
+    if not math.isfinite(duration):
+        raise ValueError("duration must be finite")
+    return int(round(duration / dt))
+
+
+def _levels(train: PulseTrain, dt: float, n_steps: int) -> np.ndarray:
+    if train is None:
+        return np.zeros(n_steps, dtype=bool)
+    return train.step_levels(dt, n_steps)
+
+
 def run_neuron(params: NeuronParams, duration: float, dt: float,
                exc_train: PulseTrain = None, inh_train: PulseTrain = None,
                record: bool = False):
     """Step a single neuron under optional pulse drive.
 
-    Returns (spike_times, trace) where trace is (times, v_mem) when
-    record=True, else None. Each spike is dated at the end of the step in
-    which the membrane crossed the threshold.
+    The steps follow neuron_step, with each train sampled at the step
+    starts; the cost grows with the number of level changes and spikes, not
+    with the number of steps. Returns (spike_times, trace) where trace is
+    (times, v_mem) when record=True, else None. Each spike is dated at the
+    end of the step in which the membrane crossed the threshold.
     """
-    n_steps = int(round(duration / dt))
-    exc = exc_train.step_levels(dt, n_steps) if exc_train is not None else None
-    inh = inh_train.step_levels(dt, n_steps) if inh_train is not None else None
-    state = NeuronState()
-    spikes = []
-    vs = np.empty(n_steps + 1) if record else None
-    if record:
-        vs[0] = state.v_mem
-    for k in range(n_steps):
-        state, fired = neuron_step(state, params,
-                                   bool(exc[k]) if exc is not None else False,
-                                   bool(inh[k]) if inh is not None else False,
-                                   dt)
-        if fired:
-            spikes.append((k + 1) * dt)
-        if record:
-            vs[k + 1] = state.v_mem
-    trace = (np.arange(n_steps + 1) * dt, vs) if record else None
-    return np.asarray(spikes), trace
+    n_steps = _n_steps(duration, dt)
+    fired, v_mem = neuron_run(params, _levels(exc_train, dt, n_steps),
+                              _levels(inh_train, dt, n_steps), dt, record)
+    trace = (np.arange(n_steps + 1) * dt, v_mem) if record else None
+    return (fired + 1) * dt, trace
 
 
 def run_synapse(params: SynapseParams, spike_times, duration: float, dt: float,
                 record: bool = False):
     """Step a single synapse charged by the given presynaptic spike times.
 
-    A spike landing in [k*dt, (k+1)*dt) charges the synapse during step k.
-    Returns (edge_times, trace) with trace = (times, v_syn, freq) when
-    record=True.
+    The steps follow synapse_step; a spike landing in [k*dt, (k+1)*dt)
+    charges the synapse during step k, and spikes outside [0, duration) are
+    dropped. The cost grows with the number of spikes and ring edges, not
+    with the number of steps. Returns (edge_times, trace) with
+    trace = (times, v_syn, freq) when record=True.
     """
-    n_steps = int(round(duration / dt))
+    n_steps = _n_steps(duration, dt)
     spike_steps = np.zeros(n_steps, dtype=bool)
-    times = np.asarray(spike_times, dtype=float)
-    idx = np.floor(times / dt).astype(int)
-    idx = idx[(idx >= 0) & (idx < n_steps)]
-    spike_steps[idx] = True
-    state = SynapseState()
-    edges = []
+    idx = np.floor(np.asarray(spike_times, dtype=float) / dt).astype(int)
+    spike_steps[idx[(idx >= 0) & (idx < n_steps)]] = True
+    edges, trace = synapse_run(params, spike_steps, dt, record)
     if record:
-        tv = np.empty(n_steps + 1)
-        fv = np.empty(n_steps + 1)
-        tv[0] = state.v_syn
-        fv[0] = 0.0
-    for k in range(n_steps):
-        state, offs = synapse_step(state, params, bool(spike_steps[k]), dt)
-        for off in offs:
-            edges.append(k * dt + off)
-        if record:
-            tv[k + 1] = state.v_syn
-            fv[k + 1] = osc_frequency(state.v_syn, params)
-    trace = (np.arange(n_steps + 1) * dt, tv, fv) if record else None
-    return np.asarray(edges), trace
+        trace = (np.arange(n_steps + 1) * dt,) + trace
+    return edges, trace
 
 
 def run_chain(nparams: NeuronParams, sparams: SynapseParams, duration: float,
@@ -128,26 +127,19 @@ def run_chain(nparams: NeuronParams, sparams: SynapseParams, duration: float,
               inh_train: PulseTrain = None):
     """Neuron feeding its synapse, stepped together as on the test chip.
 
-    Returns (spike_times, edge_times).
+    A spike charges the synapse in the step in which the neuron fires. The
+    neuron runs first, then the synapse is run on its spike mask, with the
+    same per-event cost as run_neuron and run_synapse. Returns
+    (spike_times, edge_times).
     """
-    n_steps = int(round(duration / dt))
-    exc = exc_train.step_levels(dt, n_steps) if exc_train is not None else None
-    inh = inh_train.step_levels(dt, n_steps) if inh_train is not None else None
-    nstate = NeuronState()
-    sstate = SynapseState()
-    spikes = []
-    edges = []
-    for k in range(n_steps):
-        nstate, fired = neuron_step(nstate, nparams,
-                                    bool(exc[k]) if exc is not None else False,
-                                    bool(inh[k]) if inh is not None else False,
-                                    dt)
-        if fired:
-            spikes.append((k + 1) * dt)
-        sstate, offs = synapse_step(sstate, sparams, fired, dt)
-        for off in offs:
-            edges.append(k * dt + off)
-    return np.asarray(spikes), np.asarray(edges)
+    n_steps = _n_steps(duration, dt)
+    check_dt(sparams, dt)  # before the neuron runs
+    fired, _ = neuron_run(nparams, _levels(exc_train, dt, n_steps),
+                          _levels(inh_train, dt, n_steps), dt)
+    mask = np.zeros(n_steps, dtype=bool)
+    mask[fired] = True
+    edges, _ = synapse_run(sparams, mask, dt)
+    return (fired + 1) * dt, edges
 
 
 PAPER_ANCHORS = {

@@ -13,8 +13,11 @@ them. Voltages are normalized to a 1.0 supply.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
+
+import numpy as np
 
 
 @dataclass(frozen=True)
@@ -67,16 +70,74 @@ def neuron_step(state: NeuronState, params: NeuronParams, exc_high: bool,
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
+    v = max(state.v_mem + _net_rate(params, exc_high, inh_high) * dt, 0.0)
+    t = state.t + dt
+    if v >= params.v_th:
+        return NeuronState(v_mem=v - params.v_th, t=t, last_spike_time=t), True
+    return NeuronState(v_mem=v, t=t, last_spike_time=state.last_spike_time), False
+
+
+def _net_rate(params: NeuronParams, exc_high: bool, inh_high: bool) -> float:
     rate = params.r_base
     if exc_high:
         rate += params.r_exc
     if inh_high:
         rate -= params.r_inh
-    v = max(state.v_mem + rate * dt, 0.0)
-    t = state.t + dt
-    if v >= params.v_th:
-        return NeuronState(v_mem=v - params.v_th, t=t, last_spike_time=t), True
-    return NeuronState(v_mem=v, t=t, last_spike_time=state.last_spike_time), False
+    return rate
+
+
+def neuron_run(params: NeuronParams, exc_levels, inh_levels, dt: float,
+               record: bool = False):
+    """Run neuron_step from rest over per-step input levels, event by event.
+
+    exc_levels and inh_levels hold one boolean per step. The result is
+    bit-identical to looping over neuron_step, but the Python loop runs once
+    per event (a level change or a spike): while the levels hold, the
+    membrane is the running sum v + x + x + ... with x = rate*dt, which
+    np.add.accumulate folds in the same order, clamped at zero when x < 0.
+    Returns (fired, v_mem): the indices of the steps in which the neuron
+    fired, and with record=True the membrane before the first step and
+    after each step (else None).
+    """
+    exc = np.asarray(exc_levels, dtype=bool)
+    inh = np.asarray(inh_levels, dtype=bool)
+    n = len(exc)
+    code = exc + 2 * inh.astype(np.int8)  # indexes xs
+    xs = [_net_rate(params, e, i) * dt
+          for e, i in ((False, False), (True, False), (False, True), (True, True))]
+    v_th = params.v_th
+    v = 0.0
+    fired = []
+    trace = np.zeros(n + 1) if record else None
+    starts = np.flatnonzero(np.diff(code, prepend=-1)).tolist()
+    for a, b in zip(starts, starts[1:] + [n]):
+        x = xs[code[a]]
+        k = a
+        while k < b:
+            # Window: the rest of the stretch, cut where the next crossing
+            # must have happened. A window without a crossing just repeats.
+            m = b - k
+            if x > 0:
+                steps = (v_th - v) / x
+                if steps < m:
+                    m = max(1, math.ceil(steps) + 1)
+            elif v >= v_th:
+                m = 1
+            run = np.full(m + 1, x)
+            run[0] = v
+            np.add.accumulate(run, out=run)
+            if x < 0:
+                np.maximum(run, 0.0, out=run)
+            hit = np.flatnonzero(run[1:] >= v_th)
+            if hit.size:
+                m = int(hit[0]) + 1
+                run[m] -= v_th
+                fired.append(k + m - 1)
+            if record:
+                trace[k + 1:k + m + 1] = run[1:m + 1]
+            v = float(run[m])
+            k += m
+    return np.array(fired, dtype=np.int64), trace
 
 
 def free_run_period(params: NeuronParams) -> float:

@@ -50,10 +50,6 @@ class PulseTrain:
     def ends(self) -> np.ndarray:
         return self.rises + self.widths
 
-    def high_time(self) -> float:
-        """Total time the signal is high."""
-        return float(self.widths.sum())
-
     def levels(self, times) -> np.ndarray:
         """Sample the digital level at the given instants.
 
@@ -85,30 +81,3 @@ def periodic_train(freq_hz: float, width: float, duration: float,
     rises = rises[rises < duration]
     return PulseTrain(rises, np.full(len(rises), width))
 
-
-def merge_or(trains) -> PulseTrain:
-    """OR-combination of pulse trains.
-
-    The output is high wherever any input is high; overlapping or adjacent
-    pulses coalesce into one.
-    """
-    trains = list(trains)
-    nonempty = [t for t in trains if len(t) > 0]
-    if not nonempty:
-        return PulseTrain.empty()
-    rises = np.concatenate([t.rises for t in nonempty])
-    ends = np.concatenate([t.ends for t in nonempty])
-    order = np.argsort(rises, kind="stable")
-    rises, ends = rises[order], ends[order]
-
-    out_r = [rises[0]]
-    out_e = [ends[0]]
-    for r, e in zip(rises[1:], ends[1:]):
-        if r <= out_e[-1]:
-            out_e[-1] = max(out_e[-1], e)
-        else:
-            out_r.append(r)
-            out_e.append(e)
-    out_r = np.array(out_r)
-    out_e = np.array(out_e)
-    return PulseTrain(out_r, out_e - out_r)

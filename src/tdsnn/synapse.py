@@ -72,6 +72,16 @@ def osc_frequency(v_syn, params: SynapseParams):
     return f
 
 
+def check_dt(params: SynapseParams, dt: float) -> None:
+    """Reject a step that is not positive or undersamples the ring."""
+    if not dt > 0:
+        raise ValueError("dt must be positive")
+    if dt * params.f_max >= 0.5:
+        raise ConfigurationError(
+            f"dt={dt:g} undersamples the oscillator (need dt*f_max < 0.5, "
+            f"got {dt * params.f_max:g})")
+
+
 def synapse_step(state: SynapseState, params: SynapseParams, spike_in: bool,
                  dt: float) -> tuple[SynapseState, list[float]]:
     """Advance the synapse by one step of length dt.
@@ -82,12 +92,7 @@ def synapse_step(state: SynapseState, params: SynapseParams, spike_in: bool,
     fastest oscillation (dt * f_max < 0.5), which also guarantees at most
     one edge per step.
     """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    if dt * params.f_max >= 0.5:
-        raise ConfigurationError(
-            f"dt={dt:g} undersamples the oscillator (need dt*f_max < 0.5, "
-            f"got {dt * params.f_max:g})")
+    check_dt(params, dt)
     v = state.v_syn
     if spike_in:
         v = v + params.delta_up * (params.v_max - v)
@@ -99,6 +104,65 @@ def synapse_step(state: SynapseState, params: SynapseParams, spike_in: bool,
         edges.append((1.0 - state.phase) / f)
         phase -= 1.0
     return SynapseState(v_syn=v, phase=phase), edges
+
+
+def synapse_run(params: SynapseParams, spike_steps, dt: float,
+                record: bool = False):
+    """Run synapse_step from rest over a per-step spike mask, event by event.
+
+    The result is bit-identical to looping over synapse_step, but the Python
+    loop runs once per event (a spike or a ring wrap). Between spikes v_syn
+    is the running product v*decay*decay*..., folded in order by
+    np.multiply.accumulate; the ring phase is the running sum of f*dt,
+    folded by np.add.accumulate until it wraps at 1. Silent steps (f = 0)
+    leave the phase as it is and are skipped. Returns (edge_times, trace)
+    with trace = (v_syn, freq) when record=True, each holding the value
+    before the first step and after each step, else None.
+    """
+    check_dt(params, dt)
+    spikes = np.asarray(spike_steps, dtype=bool)
+    n = len(spikes)
+    decay = math.exp(-dt / params.tau_leak)
+    v = np.full(n + 1, decay)
+    v[0] = 0.0
+    start = 0  # v[start] holds the value entering step start
+    for s in np.flatnonzero(spikes).tolist():
+        np.multiply.accumulate(v[start:s + 1], out=v[start:s + 1])
+        pre = float(v[s])
+        v[s + 1] = (pre + params.delta_up * (params.v_max - pre)) * decay
+        start = s + 1
+    np.multiply.accumulate(v[start:], out=v[start:])
+
+    f = osc_frequency(v[1:], params)
+    inc = f * dt
+    active = np.flatnonzero(inc > 0)
+    # Every active step adds at least f_min*dt, so a window of this many
+    # steps wraps unless it holds silent ones; then the next window goes on.
+    window = math.ceil(1.0 / (params.f_min * dt)) + 1
+    edges = []
+    phase = 0.0
+    k = 0
+    while True:
+        i = int(np.searchsorted(active, k))
+        if i == len(active):
+            break
+        k = int(active[i])
+        m = min(window, n - k)
+        acc = np.empty(m + 1)
+        acc[0] = phase
+        acc[1:] = inc[k:k + m]
+        np.add.accumulate(acc, out=acc)
+        hit = np.flatnonzero(acc[1:] >= 1.0)
+        if hit.size:
+            j = int(hit[0])  # step k + j wraps
+            edges.append((k + j) * dt + (1.0 - float(acc[j])) / float(f[k + j]))
+            phase = float(acc[j + 1]) - 1.0
+            k += j + 1
+        else:
+            phase = float(acc[m])
+            k += m
+    trace = (v, np.concatenate(([0.0], f))) if record else None
+    return np.array(edges), trace
 
 
 def steady_state_v(spike_rate: float, params: SynapseParams) -> float:

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from tdsnn.cli import main
 from tdsnn.config import SimulationConfig, serialize_config
 
@@ -39,3 +41,13 @@ def test_trace_dir_under_a_regular_file_exits_2(tmp_path, capsys):
             "--trace", str(blocker / "trace")]
     assert main(argv) == 2
     assert "cannot create trace directory" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("option, message", [
+    ("--dt=0", "dt must be positive"),
+    ("--dt=-1e-5", "dt must be positive"),
+    ("--duration=0", "duration must be positive"),
+])
+def test_simulate_synapse_bad_step_or_duration_exits_1(option, message, capsys):
+    assert main(["simulate-synapse", option]) == 1
+    assert capsys.readouterr().err.splitlines() == [f"error: {message}"]

@@ -1,9 +1,13 @@
+import math
+
 import numpy as np
 import pytest
 
-from tdsnn import (CalibrationError, NeuronParams, SynapseParams, calibrate,
-                   firing_rate, free_run_period, steady_state_frequency)
-from tdsnn.measure import run_chain, run_neuron, weighted_drive
+from tdsnn import (CalibrationError, ConfigurationError, NeuronParams,
+                   NeuronState, SynapseParams, SynapseState, calibrate,
+                   firing_rate, free_run_period, neuron_step, osc_frequency,
+                   periodic_train, steady_state_frequency, synapse_step)
+from tdsnn.measure import run_chain, run_neuron, run_synapse, weighted_drive
 
 
 def test_firing_rate_regular_train():
@@ -114,3 +118,172 @@ def test_calibrate_reports_failure_with_residuals():
     with pytest.raises(CalibrationError) as exc_info:
         calibrate(anchors)
     assert exc_info.value.residuals
+
+
+# --- run_neuron, run_synapse and run_chain against plain loops over the
+# step functions ---
+
+def step_neuron(params, duration, dt, exc=None, inh=None):
+    """Loop over neuron_step: (spike_times, v_mem before and after each step)."""
+    n = int(round(duration / dt))
+    exc = exc.step_levels(dt, n) if exc is not None else np.zeros(n, dtype=bool)
+    inh = inh.step_levels(dt, n) if inh is not None else np.zeros(n, dtype=bool)
+    state = NeuronState()
+    spikes, v_mem = [], [state.v_mem]
+    for k in range(n):
+        state, fired = neuron_step(state, params, bool(exc[k]), bool(inh[k]), dt)
+        if fired:
+            spikes.append((k + 1) * dt)
+        v_mem.append(state.v_mem)
+    return np.array(spikes), np.array(v_mem)
+
+
+def step_synapse(params, flags, dt):
+    """Loop over synapse_step: (edge_times, v_syn, freq), traces from rest."""
+    state = SynapseState()
+    edges, v_syn, freq = [], [0.0], [0.0]
+    for k, flag in enumerate(flags):
+        state, offsets = synapse_step(state, params, bool(flag), dt)
+        edges.extend(k * dt + off for off in offsets)
+        v_syn.append(state.v_syn)
+        freq.append(osc_frequency(state.v_syn, params))
+    return np.array(edges), np.array(v_syn), np.array(freq)
+
+
+def step_chain(nparams, sparams, duration, dt, exc=None, inh=None):
+    """Loop over neuron_step and synapse_step together: (spikes, edges)."""
+    n = int(round(duration / dt))
+    exc = exc.step_levels(dt, n) if exc is not None else np.zeros(n, dtype=bool)
+    inh = inh.step_levels(dt, n) if inh is not None else np.zeros(n, dtype=bool)
+    nstate, sstate = NeuronState(), SynapseState()
+    spikes, edges = [], []
+    for k in range(n):
+        nstate, fired = neuron_step(nstate, nparams, bool(exc[k]), bool(inh[k]),
+                                    dt)
+        if fired:
+            spikes.append((k + 1) * dt)
+        sstate, offsets = synapse_step(sstate, sparams, fired, dt)
+        edges.extend(k * dt + off for off in offsets)
+    return np.array(spikes), np.array(edges)
+
+
+def spike_flags(spike_times, duration, dt):
+    flags = [False] * int(round(duration / dt))
+    for t in spike_times:
+        k = math.floor(t / dt)
+        if 0 <= k < len(flags):
+            flags[k] = True
+    return flags
+
+
+def assert_runs_match_step_loops(nparams, sparams, duration, dt, exc=None,
+                                    inh=None, spike_times=None):
+    """run_neuron, run_synapse (on spike_times, else on the neuron's
+    spikes) and run_chain equal the loops, traces included."""
+    spikes, (times, v_mem) = run_neuron(nparams, duration, dt, exc, inh,
+                                        record=True)
+    ref_spikes, ref_v_mem = step_neuron(nparams, duration, dt, exc, inh)
+    assert np.array_equal(spikes, ref_spikes)
+    assert np.array_equal(v_mem, ref_v_mem)
+    assert np.array_equal(times, np.arange(len(v_mem)) * dt)
+
+    if spike_times is None:
+        spike_times = spikes
+    edges, (_, v_syn, freq) = run_synapse(sparams, spike_times, duration, dt,
+                                          record=True)
+    ref = step_synapse(sparams, spike_flags(spike_times, duration, dt), dt)
+    assert np.array_equal(edges, ref[0])
+    assert np.array_equal(v_syn, ref[1])
+    assert np.array_equal(freq, ref[2])
+
+    chain = run_chain(nparams, sparams, duration, dt, exc_train=exc,
+                      inh_train=inh)
+    ref_chain = step_chain(nparams, sparams, duration, dt, exc, inh)
+    assert np.array_equal(chain[0], ref_chain[0])
+    assert np.array_equal(chain[1], ref_chain[1])
+    return ref_v_mem, ref
+
+
+def test_runs_match_step_loops_at_the_paper_operating_point():
+    # 200 Hz at dt = 1e-5: each crossing lands on a step boundary
+    duration, dt = 0.1, 1e-5
+    drive = weighted_drive(100.0, 12, duration)
+    for exc, inh in ((None, None), (drive, None), (None, drive)):
+        assert_runs_match_step_loops(NeuronParams(), SynapseParams(),
+                                        duration, dt, exc, inh)
+
+
+def test_runs_match_step_loops_on_random_cases():
+    rng = np.random.default_rng(20221)
+    for trial in range(12):
+        dt = (1e-5, 4e-5, 2.5e-4, 1e-3)[trial % 4]
+        duration = min(float(rng.uniform(0.05, 1.0)), 2500 * dt)
+        r_base = float(rng.uniform(20.0, 400.0))
+        r_exc = float(rng.uniform(0.0, 2000.0))
+        # every third trial, exc and inh high together cancel exactly
+        r_inh = r_base + r_exc if trial % 3 == 0 else float(rng.uniform(0.0, 3000.0))
+        nparams = NeuronParams(v_th=float(rng.uniform(0.1, 1.0)), r_base=r_base,
+                               r_exc=r_exc, r_inh=r_inh)
+        f_max = float(rng.uniform(50.0, 0.45 / dt))
+        sparams = SynapseParams(
+            delta_up=1.0 if trial % 3 == 1 else float(rng.uniform(0.02, 1.0)),
+            tau_leak=float(rng.uniform(2e-3, 0.2)),
+            v_osc=0.0 if trial % 3 == 2 else float(rng.uniform(0.0, 0.9)),
+            f_min=float(rng.uniform(1.0, f_max)), f_max=f_max)
+        # overlapping trains put exc and inh high together
+        exc = periodic_train(float(rng.uniform(20.0, 200.0)), 2e-3, duration)
+        inh = periodic_train(float(rng.uniform(20.0, 200.0)), 2e-3, duration,
+                             start=float(rng.uniform(0.0, 5e-3)))
+        # a spike at step 0, and spikes before 0 and at or after duration
+        spike_times = np.concatenate([
+            [0.0, -dt, duration],
+            np.sort(rng.uniform(-0.01, duration + 0.01, rng.integers(0, 100)))])
+        assert_runs_match_step_loops(nparams, sparams, duration, dt, exc,
+                                        inh, spike_times)
+
+
+def test_runs_match_step_loops_across_stretches_longer_than_a_window():
+    # At dt = 1 ms and f_min = 15 Hz an active ring wraps within 68 steps.
+    dt, duration = 1e-3, 3.0
+    window = math.ceil(1.0 / (15.0 * dt)) + 1
+    sparams = SynapseParams(delta_up=0.3, tau_leak=0.02, v_osc=0.25,
+                            f_min=15.0, f_max=400.0)
+    # A spike every 0.1 s lifts v_syn above onset for about 3 steps, so the
+    # phase creeps forward over many windows before it wraps.
+    spike_times = np.arange(0.0, duration, 0.1)
+    inh = periodic_train(1.0, 0.6, duration, start=0.2)  # long clamp at 0
+    nparams = NeuronParams(r_inh=5000.0)
+    v_mem, (edges, _, freq) = assert_runs_match_step_loops(
+        nparams, sparams, duration, dt, inh=inh, spike_times=spike_times)
+
+    assert np.count_nonzero(v_mem == 0.0) > window
+    active = np.flatnonzero(freq > 0)
+    assert np.diff(active).max() > window  # a silent stretch
+    first_edge_step = int(edges[0] / dt)
+    assert np.count_nonzero(active <= first_edge_step) > 1
+    assert first_edge_step > 2 * window  # a non-wrapping stretch
+
+
+def test_runs_match_step_loops_on_a_run_of_zero_steps():
+    dt = 1e-5
+    assert_runs_match_step_loops(NeuronParams(), SynapseParams(), 0.4 * dt,
+                                    dt, spike_times=[0.0])
+
+
+def test_run_synapse_wraps_when_the_phase_reaches_one_exactly():
+    # at rest with v_osc = 0 the ring runs at f_min; f*dt = 256 * 2**-10 is
+    # exactly 0.25, so every fourth step ends with the phase at 1.0
+    dt = 2.0 ** -10
+    params = SynapseParams(v_osc=0.0, f_min=256.0, f_max=300.0)
+    edges, _ = run_synapse(params, [], 100 * dt, dt)
+    assert np.array_equal(edges, step_synapse(params, [False] * 100, dt)[0])
+    assert len(edges) == 25
+
+
+def test_run_chain_validates_before_running():
+    with pytest.raises(ValueError, match="dt must be positive"):
+        run_chain(NeuronParams(), SynapseParams(), 0.1, -1e-5)
+    with pytest.raises(ValueError, match="duration must be positive"):
+        run_chain(NeuronParams(), SynapseParams(), 0.0, 1e-5)
+    with pytest.raises(ConfigurationError):
+        run_chain(NeuronParams(), SynapseParams(f_max=20_000.0), 1.0, 5e-5)

@@ -143,3 +143,12 @@ def test_invalid_params_rejected():
         NeuronParams(r_exc=-1.0)
     with pytest.raises(ValueError):
         NeuronParams(spike_width=0.0)
+
+
+def test_run_neuron_rejects_bad_dt_and_duration():
+    for dt in (0.0, -1e-5, float("nan")):
+        with pytest.raises(ValueError, match="dt must be positive"):
+            run_neuron(NeuronParams(), 0.1, dt)
+    for duration in (0.0, -0.1):
+        with pytest.raises(ValueError, match="duration must be positive"):
+            run_neuron(NeuronParams(), duration, 1e-5)

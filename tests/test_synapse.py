@@ -166,3 +166,15 @@ def test_invalid_params_rejected():
         SynapseParams(f_min=0.0)
     with pytest.raises(ValueError):
         SynapseParams(f_min=300.0, f_max=200.0)
+
+
+def test_run_synapse_validates_before_running():
+    params = SynapseParams()
+    for dt in (0.0, -1e-5):
+        with pytest.raises(ValueError, match="dt must be positive"):
+            run_synapse(params, [0.0], 0.1, dt)
+    with pytest.raises(ValueError, match="duration must be positive"):
+        run_synapse(params, [0.0], 0.0, 1e-5)
+    # rejected even when duration/dt rounds to zero steps
+    with pytest.raises(ConfigurationError):
+        run_synapse(params, [], 0.001, 0.01)

@@ -1,16 +1,7 @@
 import numpy as np
 import pytest
 
-from tdsnn import PulseTrain, WeightParams, merge_or, pulse_width, shape_pulses
-
-
-def sampled_or_oracle(trains, t_max, res=1e-6):
-    """Dense boolean sampling oracle for interval union."""
-    times = np.arange(0.0, t_max, res)
-    acc = np.zeros(len(times), dtype=bool)
-    for tr in trains:
-        acc |= tr.levels(times)
-    return acc
+from tdsnn import PulseTrain, WeightParams, pulse_width, shape_pulses
 
 
 def test_pulse_width_taps():
@@ -64,75 +55,6 @@ def test_shape_pulses_preserves_edge_count():
 def test_shape_pulses_rejects_unsorted():
     with pytest.raises(ValueError):
         shape_pulses([0.0, 2e-3, 1e-3], 3)
-
-
-def test_merge_identity():
-    t = PulseTrain(np.array([0.0, 1e-2]), np.array([1e-3, 2e-3]))
-    m = merge_or([t])
-    assert np.array_equal(m.rises, t.rises)
-    assert np.array_equal(m.widths, t.widths)
-
-
-def test_merge_overlap_coalesces():
-    a = PulseTrain(np.array([0.0]), np.array([1e-3]))
-    b = PulseTrain(np.array([0.5e-3]), np.array([1e-3]))
-    m = merge_or([a, b])
-    assert len(m) == 1
-    assert m.rises[0] == 0.0
-    assert m.widths[0] == pytest.approx(1.5e-3)
-
-
-def test_merge_adjacent_coalesces():
-    a = PulseTrain(np.array([0.0]), np.array([1e-3]))
-    b = PulseTrain(np.array([1e-3]), np.array([1e-3]))
-    m = merge_or([a, b])
-    assert len(m) == 1
-    assert m.widths[0] == pytest.approx(2e-3)
-
-
-def test_merge_matches_dense_sampling_oracle():
-    rng = np.random.default_rng(7)
-    trains = []
-    for _ in range(100):
-        n = rng.integers(1, 6)
-        rises = np.sort(rng.uniform(0, 50e-3, n))
-        widths = rng.uniform(0.2e-3, 1.5e-3, n)
-        # enforce per-train non-overlap
-        widths[:-1] = np.minimum(widths[:-1], np.diff(rises))
-        trains.append(PulseTrain(rises, widths))
-    merged = merge_or(trains)
-    times = np.arange(0.0, 55e-3, 1e-6)
-    assert np.array_equal(merged.levels(times), sampled_or_oracle(trains, 55e-3))
-
-
-def test_merge_algebraic_properties():
-    # commutative/associative/idempotent as waveforms: merging may
-    # canonicalize adjacent pulses, so compare sampled levels
-    rng = np.random.default_rng(1)
-    times = np.arange(0.0, 25e-3, 1e-6)
-
-    def random_train():
-        rises = np.sort(rng.uniform(0, 20e-3, 4))
-        widths = rng.uniform(0.1e-3, 1e-3, 4)
-        widths[:-1] = np.minimum(widths[:-1], np.diff(rises))
-        return PulseTrain(rises, widths)
-
-    def same_waveform(x, y):
-        return np.array_equal(x.levels(times), y.levels(times))
-
-    a, b, c = random_train(), random_train(), random_train()
-    assert same_waveform(merge_or([a, b]), merge_or([b, a]))
-    assert same_waveform(merge_or([merge_or([a, b]), c]),
-                         merge_or([a, merge_or([b, c])]))
-    assert same_waveform(merge_or([a, a]), a)
-    # high time never exceeds the sum of inputs
-    ab = merge_or([a, b])
-    assert ab.high_time() <= a.high_time() + b.high_time() + 1e-15
-
-
-def test_merge_empty_inputs():
-    assert len(merge_or([])) == 0
-    assert len(merge_or([PulseTrain.empty(), PulseTrain.empty()])) == 0
 
 
 def test_pulse_train_validation():
