@@ -22,6 +22,7 @@ from .measure import (ANCHOR_TOLERANCES, PAPER_ANCHORS, calibrate,
                       run_synapse, weighted_drive)
 from .network import NetworkConfig, TraceSet, build_network, simulate
 from .reservoir import RlsState, evaluate, train_force
+from .synapse import check_duration
 from .traceio import RunSummary, Stopwatch, write_summary, write_traces
 
 
@@ -64,6 +65,7 @@ def cmd_simulate_neuron(args) -> int:
         net = build_network(cfg)
         ext = None
         if args.input_freq > 0:
+            check_duration(args.duration)  # before the drive is built
             drive = weighted_drive(args.input_freq, args.weight_code,
                                    args.duration, cfg.weight)
             ext = {0: (drive, None)} if args.polarity == "exc" else {0: (None, drive)}
@@ -85,6 +87,7 @@ def cmd_simulate_synapse(args) -> int:
 
     with Stopwatch() as sw:
         params = SynapseParams()
+        check_duration(args.duration)
         n = int(np.ceil(args.duration * args.spike_rate)) if args.spike_rate > 0 else 0
         spike_times = np.arange(n) / args.spike_rate if n else np.empty(0)
         spike_times = spike_times[spike_times < args.duration]

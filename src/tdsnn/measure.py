@@ -24,7 +24,7 @@ from .errors import CalibrationError
 from .neuron import (NeuronParams, free_run_period, neuron_run,  # noqa: F401
                      neuron_step)
 from .pulses import PulseTrain
-from .synapse import (SynapseParams, check_dt,  # noqa: F401
+from .synapse import (SynapseParams, check_dt, check_duration,  # noqa: F401
                       steady_state_frequency, synapse_run, synapse_step)
 from .weight import WeightParams, shape_pulses
 
@@ -71,10 +71,7 @@ def weighted_drive(input_freq: float, code: int, duration: float,
 def _n_steps(duration: float, dt: float) -> int:
     if not dt > 0:
         raise ValueError("dt must be positive")
-    if not duration > 0:
-        raise ValueError("duration must be positive")
-    if not math.isfinite(duration):
-        raise ValueError("duration must be finite")
+    check_duration(duration)
     return int(round(duration / dt))
 
 

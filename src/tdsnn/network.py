@@ -9,7 +9,9 @@ pulses at the instant the oscillator phase wraps, each pulse lasts its exact
 width, a neuron is driven by the fraction of the step its pulses cover, and
 a spike charges its synapse at the threshold crossing. The edges of a step
 depend only on the synapse state at the step's start, so the connections
-need no transport delay to break same-step causality cycles.
+need no transport delay to break same-step causality cycles. Between two
+ring edges no neuron affects another, so runs compute the steps from one
+edge to the next as one window of array rows, bit-identical to stepping.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import numpy as np
 
 from .errors import ConfigurationError
 from .neuron import NeuronParams
-from .synapse import SynapseParams, osc_frequency
+from .synapse import SynapseParams, check_duration, osc_frequency
 from .weight import WeightParams, N_CODES, pulse_width
 
 POLARITIES = ("exc", "inh")
@@ -177,7 +179,22 @@ class NetworkSim:
     rate, a ring runs at its frequency at the step's midpoint, external
     inputs keep their level at the step start, and a ring wrap that a
     spike's charge causes late in the step is emitted at the next step start.
+
+    advance() commits many steps at once, bit-identical to step(). A ring
+    edge is the only event that couples one neuron to another, so between
+    two edges every neuron and its synapse evolve on their own: a window of
+    edge-free steps is computed a whole array of rows at a time, and only a
+    step with an edge goes through step(). The window is at most
+    floor(v_th / ((r_base + r_exc) * dt)) - 1 steps long, so no neuron fires
+    twice inside it, and at most _WINDOW_VALUES / n steps, so its arrays
+    stay small. It is sized from the runs of edge-free steps: one step
+    longer than the last run or the current one, whichever is longer, so it
+    grows while no edge comes. Below _MIN_WINDOW steps, one step() is
+    cheaper, so advance() steps.
     """
+
+    _MIN_WINDOW = 8  # shorter runs cost less as single steps
+    _WINDOW_VALUES = 1 << 15  # per state of a window: bounds its memory
 
     def __init__(self, network: Network, synapse_override: Optional[SynapseParams] = None):
         cfg = network.config
@@ -194,7 +211,6 @@ class NetworkSim:
         self.v = np.zeros(self.n)
         self.sv = np.zeros(self.n)
         self.sphase = np.zeros(self.n)
-        self.fired = np.zeros(self.n, dtype=bool)
         self.edged = np.zeros(self.n, dtype=bool)
         self.k = 0
 
@@ -203,7 +219,9 @@ class NetworkSim:
         # The OR of a channel's pulses is high from before the step start
         # until _until[channel] (absolute time), so a step without new
         # pulses needs no scan of the connections.
-        self._widths = np.array([pulse_width(int(c), cfg.weight) for c in network.codes])
+        for code in np.unique(network.codes).tolist():
+            pulse_width(code, cfg.weight)  # rejects a code out of range
+        self._widths = cfg.weight.w0 + (network.codes + 1) * cfg.weight.tau_unit
         self._channel = network.post + self.n * ~network.is_exc
         self._out = np.argsort(network.pre, kind="stable")
         self._out_ptr = np.searchsorted(network.pre[self._out], np.arange(self.n + 1))
@@ -211,6 +229,17 @@ class NetworkSim:
         self._starts = None  # (channel, start, end) of this step's new pulses
         self._decay = math.exp(-self.dt / self.synapse.tau_leak)
         self._mid_decay = math.exp(-0.5 * self.dt / self.synapse.tau_leak)
+
+        # A neuron restarts from v >= 0 after a spike and rises by at most
+        # (r_base + r_exc) * dt per step, so it cannot fire twice in this
+        # many steps; a window never holds more, nor more rows than keep
+        # its arrays small.
+        p = self.neuron
+        self._max_rows = min(math.floor(p.v_th / ((p.r_base + p.r_exc) * self.dt)) - 1,
+                             self._WINDOW_VALUES // self.n)
+        self._run = 0       # edge-free steps since the last edge
+        self._last_run = 0  # edge-free steps before the last edge
+        self._win = np.empty((5, 1, self.n))  # window rows, grown on demand
 
     @property
     def t(self) -> float:
@@ -264,6 +293,22 @@ class NetworkSim:
     def synapse_frequencies(self) -> np.ndarray:
         return osc_frequency(self.sv, self.synapse)
 
+    def _charge(self, sv_end: np.ndarray, after: np.ndarray):
+        """Charge synapses whose neurons crossed the threshold `after`
+        seconds before the step end, at the crossing.
+
+        sv_end holds their v_syn at the step end without the charge. Returns
+        the charged v_syn at the step end and the extra phase each ring
+        gains from the crossing to the step end.
+        """
+        s = self.synapse
+        to_end = np.exp(-after / s.tau_leak)
+        at_crossing = sv_end / to_end
+        charged = at_crossing + s.delta_up * (s.v_max - at_crossing)
+        half = np.exp(-0.5 * after / s.tau_leak)
+        f_mid = osc_frequency(np.stack([charged, at_crossing]) * half, s)
+        return charged * to_end, (f_mid[0] - f_mid[1]) * after
+
     def step(self, ext_exc=None, ext_inh=None) -> np.ndarray:
         """Advance by dt; returns the fired mask for this step."""
         p = self.neuron
@@ -279,6 +324,9 @@ class NetworkSim:
             to_wrap = np.maximum(1.0 - self.sphase[ids], 0.0)
             self._start_pulses(ids, to_wrap / np.maximum(f[ids], s.f_min))
             phase[ids] -= 1.0
+            self._last_run, self._run = self._run, 0
+        else:
+            self._run += 1
 
         exc, inh = self.recurrent_levels()
         if ext_exc is not None:
@@ -290,7 +338,6 @@ class NetworkSim:
         fired = v >= p.v_th
         v[fired] -= p.v_th
         self.v = v
-        self.fired = fired
 
         sv = self.sv * self._decay
         if fired.any():
@@ -298,18 +345,205 @@ class NetworkSim:
             # the overshoot dates back from the step end, and credit its
             # ring the extra phase from the crossing to the step end.
             ids = np.flatnonzero(fired)
-            after = v[ids] / rate[ids]
-            to_end = np.exp(-after / s.tau_leak)
-            at_crossing = sv[ids] / to_end
-            charged = at_crossing + s.delta_up * (s.v_max - at_crossing)
-            half = np.exp(-0.5 * after / s.tau_leak)
-            f_mid = osc_frequency(np.stack([charged, at_crossing]) * half, s)
-            phase[ids] += (f_mid[0] - f_mid[1]) * after
-            sv[ids] = charged * to_end
+            sv[ids], credit = self._charge(sv[ids], v[ids] / rate[ids])
+            phase[ids] += credit
         self.sv = sv
         self.sphase = phase
         self.k += 1
         return fired
+
+    def advance(self, n_steps: int, ext_exc=None, ext_inh=None,
+                recorder: Optional["Recorder"] = None) -> None:
+        """Advance by n_steps steps, bit-identical to as many step() calls.
+
+        ext_exc and ext_inh hold one row of levels per step: a boolean per
+        neuron, or one boolean for all neurons. The recorder, if given,
+        receives the state after every step and the spikes.
+        """
+        ext = [e if e is None or np.ndim(e) == 2 else np.asarray(e)[:, None]
+               for e in (ext_exc, ext_inh)]
+        done = 0
+        while done < n_steps:
+            rows = min(n_steps - done, self._max_rows,
+                       max(self._run, self._last_run) + 1)
+            if rows >= self._MIN_WINDOW:
+                k = self.k
+                steps, spike_rows, spike_ids = self._window(
+                    rows, *[None if e is None else e[done:done + rows] for e in ext])
+                if recorder is not None:
+                    recorder.record(k, self._win[2, 1:steps + 1],
+                                    self._win[0, 1:steps + 1], spike_rows, spike_ids)
+                done += steps
+                if steps == rows or done == n_steps:
+                    continue  # else the window ended before a ring edge
+            k = self.k
+            fired = self.step(*[None if e is None else e[done] for e in ext])
+            if recorder is not None:
+                recorder.record(k, self.v[None], self.sv[None],
+                                *np.nonzero(fired[None]))
+            done += 1
+
+    def _window(self, rows: int, ext_exc, ext_inh):
+        """Commit the steps before the next ring edge, at most rows of them.
+
+        Returns the number of steps committed and the (row, neuron) pairs
+        of their spikes. After the call, self._win holds per step row r the
+        states at its start (r) and end (r + 1): v_syn in [0], the ring
+        phase in [1] and the membrane in [2].
+        """
+        n, dt, p, s = self.n, self.dt, self.neuron, self.synapse
+        if self._win.shape[1] <= rows:
+            self._win = np.empty((5, rows + 1, n))
+        sv, phase, v = self._win[:3, :rows + 1]
+
+        # Synapses without spikes: v_syn decays step by step, and the ring
+        # phase integrates the frequency at each step's midpoint. The first
+        # row whose phase reaches 1 has an edge and ends the window.
+        sv[0] = self.sv
+        sv[1:] = self._decay
+        np.multiply.accumulate(sv, axis=0, out=sv)
+        phase[0] = self.sphase
+        np.multiply(osc_frequency(sv[:-1] * self._mid_decay, s), dt, out=phase[1:])
+        np.add.accumulate(phase, axis=0, out=phase)
+        edges = np.flatnonzero((phase[1:] >= 1.0).any(axis=1))
+        end = int(edges[0]) if edges.size else rows
+        if end == 0:
+            return 0, None, None
+
+        # Membranes: no pulse starts before the edge, so each input level
+        # follows from the end time of its channel's pulses.
+        level = self._win[3:5, :end]
+        t0 = np.arange(self.k, self.k + end) * dt
+        np.subtract(self._until.reshape(2, 1, n), t0[:, None], out=level)
+        np.maximum(level, 0.0, out=level)
+        np.minimum(level, dt, out=level)
+        np.divide(level, dt, out=level)
+        rate, x = level
+        for lv, e in zip(level, (ext_exc, ext_inh)):
+            if e is not None:
+                np.maximum(lv, e[:end], out=lv)
+        np.multiply(rate, p.r_exc, out=rate)
+        np.add(rate, p.r_base, out=rate)
+        np.multiply(x, p.r_inh, out=x)
+        np.subtract(rate, x, out=rate)
+        np.multiply(rate, dt, out=x)
+        v[0] = self.v
+        v_th = p.v_th
+        # v >= 0, so only a row with a falling membrane can need the clamp
+        falling = (x < 0.0).any(axis=1).tolist()
+        spike_rows, spike_ids = [], []
+        for r in range(end):
+            row = v[r + 1]
+            np.add(v[r], x[r], out=row)
+            if falling[r]:
+                np.maximum(row, 0.0, out=row)
+            if row.max() >= v_th:
+                ids = np.flatnonzero(row >= v_th)
+                row[ids] -= v_th
+                spike_rows.append(np.full(len(ids), r))
+                spike_ids.append(ids)
+
+        if spike_ids:
+            rs = np.concatenate(spike_rows)
+            cs = np.concatenate(spike_ids)
+            end = self._refold(rs, cs, end, rate)
+            keep = rs < end
+            rs, cs = rs[keep], cs[keep]
+        else:
+            rs = cs = np.empty(0, dtype=np.intp)
+
+        self.v = v[end].copy()
+        self.sv = sv[end].copy()
+        self.sphase = phase[end].copy()
+        self.edged = np.zeros(n, dtype=bool)
+        self.k += end
+        self._run += end
+        return end, rs, cs
+
+    def _refold(self, rs, cs, end: int, rate) -> int:
+        """Apply the spikes of neurons cs in window rows rs (ascending, one
+        per neuron) to their synapses, and return the window's new end.
+
+        Each charged column is folded again from its spike on, in one block
+        whose rows before a column's spike hold identity elements: 1.0 in
+        the v_syn product and 0.0 in the phase sum. A charge speeds its ring
+        up, so the column is checked again for an earlier edge.
+        """
+        sv, phase, v = self._win[:3]
+        charged, credit = self._charge(sv[rs + 1, cs], v[rs + 1, cs] / rate[rs, cs])
+        lo = int(rs[0]) + 1  # first state row that changes
+        rel = rs + 1 - lo    # the spike's state row in the block
+        at = (rel, np.arange(len(cs)))
+        before = np.arange(end + 1 - lo)[:, None] < rel
+        block_sv = np.where(before, 1.0, self._decay)
+        block_sv[at] = charged
+        np.multiply.accumulate(block_sv, axis=0, out=block_sv)
+        block_phase = np.empty_like(block_sv)
+        block_phase[0] = 0.0
+        np.multiply(osc_frequency(block_sv[:-1] * self._mid_decay, self.synapse),
+                    self.dt, out=block_phase[1:])
+        block_phase[before] = 0.0
+        block_phase[at] = phase[rs + 1, cs] + credit
+        np.add.accumulate(block_phase, axis=0, out=block_phase)
+        sv[lo:end + 1, cs] = np.where(before, sv[lo:end + 1, cs], block_sv)
+        phase[lo:end + 1, cs] = np.where(before, phase[lo:end + 1, cs], block_phase)
+        # The spike's own row had no edge before the credit; a later row
+        # whose phase reaches 1 has one.
+        late = block_phase >= 1.0
+        late[before] = False
+        late[at] = False
+        edges = np.flatnonzero(late.any(axis=1))
+        return min(end, lo + int(edges[0]) - 1) if edges.size else end
+
+
+class Recorder:
+    """Samples a run's state every `every` steps and collects its spikes.
+
+    simulate and train_force share it; the sample at time 0 is taken from
+    the kernel's state when the recorder is made.
+    """
+
+    def __init__(self, sim: NetworkSim, n_steps: int, every: int):
+        self.sim = sim
+        self.every = every
+        n_samples = n_steps // every + 1
+        self.sample_times = np.empty(n_samples)
+        self.v_mem = np.empty((n_samples, sim.n))
+        self.v_syn = np.empty((n_samples, sim.n))
+        self.freq_hz = np.empty((n_samples, sim.n))
+        self.n_samples = 0
+        self._spike_steps: list[np.ndarray] = []
+        self._spike_ids: list[np.ndarray] = []
+        self.record(sim.k - 1, sim.v[None], sim.sv[None])  # the state now
+
+    def record(self, k: int, v, sv, spike_rows=None, spike_ids=None) -> None:
+        """Record the state after steps k + 1, k + 2, ...: row i of v and sv
+        holds it after step k + 1 + i; neuron spike_ids[j] fired in the step
+        of row spike_rows[j]."""
+        first = -(k + 1) % self.every  # the first row to sample
+        if first < len(v):
+            rows = np.arange(first, len(v), self.every)
+            i, j = self.n_samples, self.n_samples + len(rows)
+            self.sample_times[i:j] = (k + 1 + rows) * self.sim.dt
+            self.v_mem[i:j] = v[rows]
+            self.v_syn[i:j] = sv[rows]
+            self.freq_hz[i:j] = osc_frequency(sv[rows], self.sim.synapse)
+            self.n_samples = j
+        if spike_ids is not None and len(spike_ids):
+            self._spike_steps.append(k + 1 + spike_rows)
+            self._spike_ids.append(spike_ids)
+
+    def traces(self, duration: float, **readout) -> TraceSet:
+        """The recorded run as a TraceSet; readout holds its z fields."""
+        sim = self.sim
+        steps = np.concatenate(self._spike_steps or [np.empty(0, dtype=np.int64)])
+        ids = np.concatenate(self._spike_ids or [np.empty(0, dtype=np.intp)])
+        spikes = [steps[ids == i] * sim.dt for i in range(sim.n)]
+        n = self.n_samples
+        return TraceSet(dt=sim.dt, duration=duration, n_neurons=sim.n,
+                        spikes=spikes, sample_times=self.sample_times[:n],
+                        v_mem=self.v_mem[:n], v_syn=self.v_syn[:n],
+                        freq_hz=self.freq_hz[:n], **readout)
 
 
 def _external_level_arrays(external_inputs, n_neurons, dt, n_steps):
@@ -336,48 +570,18 @@ def simulate(network: Network, external_inputs=None, duration: float = 1.0) -> T
 
     external_inputs maps a neuron index to a pair (excitatory PulseTrain,
     inhibitory PulseTrain); either entry may be None. Trains extending past
-    the duration are accepted, the excess is ignored.
+    the duration are accepted, the excess is ignored. The run is one
+    NetworkSim.advance call, so it commits each edge-free stretch of steps
+    as one window and is bit-identical to stepping.
     """
-    if duration <= 0:
-        raise ValueError("duration must be positive")
+    check_duration(duration)
     cfg = network.config
     dt = cfg.dt
     n_steps = int(round(duration / dt))
     sim = NetworkSim(network)
     ext_exc, ext_inh = _external_level_arrays(external_inputs, cfg.n_neurons,
                                               dt, n_steps)
-
     every = max(1, int(round(cfg.sample_interval / dt)))
-    n_samples = n_steps // every + 1
-    sample_times = np.empty(n_samples)
-    v_mem = np.empty((n_samples, cfg.n_neurons))
-    v_syn = np.empty((n_samples, cfg.n_neurons))
-    freq = np.empty((n_samples, cfg.n_neurons))
-    sample_times[0] = 0.0
-    v_mem[0] = sim.v
-    v_syn[0] = sim.sv
-    freq[0] = sim.synapse_frequencies()
-
-    spike_steps: list[int] = []
-    spike_ids: list[int] = []
-    si = 1
-    for k in range(n_steps):
-        fired = sim.step(None if ext_exc is None else ext_exc[k],
-                         None if ext_inh is None else ext_inh[k])
-        if fired.any():
-            ids = np.nonzero(fired)[0]
-            spike_steps.extend([k + 1] * len(ids))
-            spike_ids.extend(ids.tolist())
-        if (k + 1) % every == 0:
-            sample_times[si] = (k + 1) * dt
-            v_mem[si] = sim.v
-            v_syn[si] = sim.sv
-            freq[si] = sim.synapse_frequencies()
-            si += 1
-
-    spike_steps = np.asarray(spike_steps, dtype=np.int64)
-    spike_ids = np.asarray(spike_ids, dtype=np.intp)
-    spikes = [spike_steps[spike_ids == i] * dt for i in range(cfg.n_neurons)]
-    return TraceSet(dt=dt, duration=duration, n_neurons=cfg.n_neurons,
-                    spikes=spikes, sample_times=sample_times[:si],
-                    v_mem=v_mem[:si], v_syn=v_syn[:si], freq_hz=freq[:si])
+    recorder = Recorder(sim, n_steps, every)
+    sim.advance(n_steps, ext_exc, ext_inh, recorder)
+    return recorder.traces(duration)

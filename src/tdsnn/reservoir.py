@@ -16,7 +16,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConfigurationError
-from .network import Network, NetworkSim, TraceSet
+from .network import Network, NetworkSim, Recorder, TraceSet
 from .pulses import PulseTrain
 
 
@@ -88,16 +88,20 @@ class FeedbackParams:
             raise ValueError("feedback gain, cap, and pulse width must be positive")
 
 
-def encode_feedback(z: float, params: FeedbackParams) -> tuple[float, float]:
+def encode_feedback(z, params: FeedbackParams):
     """Split the output into excitatory/inhibitory pulse rates.
 
     Positive output drives the excitatory channel, negative the inhibitory
-    one, each at gain*|z| capped at f_fb_max; at most one is nonzero.
+    one, each at gain*|z| capped at f_fb_max; at most one is nonzero. z may
+    be a float, which gives two floats, or an array, which gives two arrays.
     """
-    if not np.isfinite(z):
+    z = np.asarray(z, dtype=float)
+    if not np.all(np.isfinite(z)):
         raise ValueError("feedback input must be finite")
-    f_exc = min(params.gain * max(z, 0.0), params.f_fb_max)
-    f_inh = min(params.gain * max(-z, 0.0), params.f_fb_max)
+    f_exc = np.minimum(params.gain * np.maximum(z, 0.0), params.f_fb_max)
+    f_inh = np.minimum(params.gain * np.maximum(-z, 0.0), params.f_fb_max)
+    if z.ndim == 0:
+        return float(f_exc), float(f_inh)
     return f_exc, f_inh
 
 
@@ -193,16 +197,34 @@ class _PulseEmitter:
         self.countdown = 0
         self.width_steps = width_steps
 
-    def step(self, rate: float, dt: float) -> bool:
-        """Advance by dt at the given rate; returns the level for this step."""
-        if rate > 0:
-            self.phase += rate * dt
-            if self.phase >= 1.0:
-                self.phase -= 1.0
-                self.countdown = self.width_steps
-        level = self.countdown > 0
-        if self.countdown > 0:
-            self.countdown -= 1
+    def levels(self, rates, dt: float) -> np.ndarray:
+        """Advance one step of dt per rate; returns the level of each step.
+
+        A step with a positive rate adds rate*dt to the phase; a step that
+        brings it to 1 wraps it and holds the level high for width_steps
+        steps from there. The phase is folded by np.add.accumulate between
+        wraps, in the order a step-by-step loop would add it.
+        """
+        rates = np.asarray(rates, dtype=float)
+        n = len(rates)
+        level = np.zeros(n, dtype=bool)
+        level[:self.countdown] = True
+        high_until = self.countdown
+        inc = rates * dt
+        k = 0
+        while True:
+            phase = np.add.accumulate(np.concatenate(([self.phase], inc[k:])))
+            wraps = np.flatnonzero((phase[1:] >= 1.0) & (rates[k:] > 0))
+            if not wraps.size:
+                self.phase = float(phase[-1])
+                break
+            w = int(wraps[0])
+            self.phase = float(phase[w + 1]) - 1.0
+            k += w
+            level[k:k + self.width_steps] = True
+            high_until = k + self.width_steps
+            k += 1
+        self.countdown = max(high_until - n, 0)
         return level
 
 
@@ -216,6 +238,11 @@ def train_force(network: Network, train_cfg: TrainConfig, fb: FeedbackParams,
     intervals. Returns the final weights and the full traces of z, target,
     and the sampled state vectors. Pass init_rls to start from existing
     weights (evaluation of a stored readout).
+
+    The feedback levels of each learn interval are computed before the
+    interval, and its steps go through one NetworkSim.advance call, which
+    commits each edge-free stretch as one window; the result is
+    bit-identical to stepping with the feedback encoded step by step.
     """
     cfg = network.config
     dt = cfg.dt
@@ -251,69 +278,39 @@ def train_force(network: Network, train_cfg: TrainConfig, fb: FeedbackParams,
     z_trace = np.empty(n_updates)
     tgt_trace = np.empty(n_updates)
     r_states = np.empty((n_updates, n))
-
     every = max(1, int(round(cfg.sample_interval / dt)))
-    n_samples = total_steps // every + 1
-    sample_times = np.empty(n_samples)
-    v_mem = np.empty((n_samples, n))
-    v_syn = np.empty((n_samples, n))
-    freq = np.empty((n_samples, n))
-    sample_times[0] = 0.0
-    v_mem[0] = sim.v
-    v_syn[0] = sim.sv
-    freq[0] = sim.synapse_frequencies()
-
-    spike_steps: list[int] = []
-    spike_ids: list[int] = []
+    recorder = Recorder(sim, total_steps, every)
 
     z_held = readout(normalized_state(sim.synapse_frequencies(), f_lo, f_hi), rls.w)
-    si = 1
     ui = 0
-    for k in range(total_steps):
-        training = k < train_steps
-        if training and train_cfg.teacher_forcing:
-            sig = float(target.value(k * dt))
-        else:
-            sig = z_held
+    for k0 in range(0, total_steps, m):
+        # The feedback levels of one learn interval, then the steps.
+        ks = np.arange(k0, min(k0 + m, total_steps))
+        sig = np.full(len(ks), z_held)
+        if train_cfg.teacher_forcing:
+            forced = ks < train_steps
+            sig[forced] = target.value(ks[forced] * dt)
         f_exc, f_inh = encode_feedback(sig, fb)
-        ext_exc = exc_gen.step(f_exc, dt)
-        ext_inh = inh_gen.step(f_inh, dt)
+        sim.advance(len(ks), exc_gen.levels(f_exc, dt), inh_gen.levels(f_inh, dt),
+                    recorder)
+        if sim.k % m:
+            continue
+        t = sim.k * dt
+        r = normalized_state(sim.synapse_frequencies(), f_lo, f_hi)
+        z = readout(r, rls.w)
+        tgt = float(target.value(t))
+        if sim.k <= train_steps:
+            rls = rls_update(rls, r, z, tgt)
+        z_times[ui] = t
+        z_trace[ui] = z
+        tgt_trace[ui] = tgt
+        r_states[ui] = r
+        ui += 1
+        z_held = z
 
-        fired = sim.step(ext_exc, ext_inh)
-        if fired.any():
-            ids = np.nonzero(fired)[0]
-            spike_steps.extend([k + 1] * len(ids))
-            spike_ids.extend(ids.tolist())
-
-        if (k + 1) % m == 0:
-            t = (k + 1) * dt
-            r = normalized_state(sim.synapse_frequencies(), f_lo, f_hi)
-            z = readout(r, rls.w)
-            tgt = float(target.value(t))
-            if training:
-                rls = rls_update(rls, r, z, tgt)
-            z_times[ui] = t
-            z_trace[ui] = z
-            tgt_trace[ui] = tgt
-            r_states[ui] = r
-            ui += 1
-            z_held = z
-
-        if (k + 1) % every == 0:
-            sample_times[si] = (k + 1) * dt
-            v_mem[si] = sim.v
-            v_syn[si] = sim.sv
-            freq[si] = sim.synapse_frequencies()
-            si += 1
-
-    spike_steps = np.asarray(spike_steps, dtype=np.int64)
-    spike_ids = np.asarray(spike_ids, dtype=np.intp)
-    spikes = [spike_steps[spike_ids == i] * dt for i in range(n)]
-    traces = TraceSet(dt=dt, duration=total_steps * dt, n_neurons=n,
-                      spikes=spikes, sample_times=sample_times[:si],
-                      v_mem=v_mem[:si], v_syn=v_syn[:si], freq_hz=freq[:si],
-                      z_times=z_times[:ui], z=z_trace[:ui], target=tgt_trace[:ui],
-                      r_states=r_states[:ui], train_end_time=train_steps * dt)
+    traces = recorder.traces(total_steps * dt, z_times=z_times[:ui], z=z_trace[:ui],
+                             target=tgt_trace[:ui], r_states=r_states[:ui],
+                             train_end_time=train_steps * dt)
     return rls, traces
 
 

@@ -82,6 +82,14 @@ def check_dt(params: SynapseParams, dt: float) -> None:
             f"got {dt * params.f_max:g})")
 
 
+def check_duration(duration: float) -> None:
+    """Reject a run length that is not positive and finite."""
+    if not duration > 0:
+        raise ValueError("duration must be positive")
+    if not math.isfinite(duration):
+        raise ValueError("duration must be finite")
+
+
 def synapse_step(state: SynapseState, params: SynapseParams, spike_in: bool,
                  dt: float) -> tuple[SynapseState, list[float]]:
     """Advance the synapse by one step of length dt.

@@ -51,3 +51,27 @@ def test_trace_dir_under_a_regular_file_exits_2(tmp_path, capsys):
 def test_simulate_synapse_bad_step_or_duration_exits_1(option, message, capsys):
     assert main(["simulate-synapse", option]) == 1
     assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["simulate-synapse", "--duration=inf"], "duration must be finite"),
+    (["simulate-synapse", "--duration=nan"], "duration must be positive"),
+    (["simulate-synapse", "--duration=-inf"], "duration must be positive"),
+    (["simulate-neuron", "--input-freq=100", "--duration=inf"],
+     "duration must be finite"),
+])
+def test_simulate_duration_not_finite_exits_1(argv, message, capsys):
+    assert main(argv) == 1
+    assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+
+
+@pytest.mark.parametrize("duration, message", [
+    ("inf", "duration must be finite"),
+    ("nan", "duration must be positive"),
+])
+def test_network_run_duration_not_finite_exits_1(duration, message, tmp_path, capsys):
+    config = tmp_path / "run.toml"
+    config.write_text(serialize_config(SimulationConfig()))
+    assert main(["network", "run", "--config", str(config),
+                 f"--duration={duration}"]) == 1
+    assert capsys.readouterr().err.splitlines() == [f"error: {message}"]

@@ -3,9 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from tdsnn import (ConfigurationError, Connection, NetworkConfig, NetworkSim,
-                   NeuronParams, build_network, periodic_train, simulate)
+from tdsnn import (ConfigurationError, Connection, Network, NetworkConfig,
+                   NetworkSim, NeuronParams, SynapseParams, WeightParams,
+                   build_network, periodic_train, pulse_width, simulate)
 from tdsnn.measure import run_neuron
+from tdsnn.weight import N_CODES
 
 
 def test_isolated_neuron_free_runs():
@@ -157,6 +159,14 @@ def test_external_train_beyond_duration_ignored():
     assert traces.spikes[0].max() <= 0.5 + 1e-12
 
 
+def test_run_shorter_than_half_a_step_has_no_steps():
+    net = build_network(NetworkConfig(n_neurons=2))
+    train = periodic_train(100.0, 100e-6, 1.0)
+    traces = simulate(net, {0: (train, train)}, 4e-6)
+    assert traces.sample_times.tolist() == [0.0]
+    assert [len(s) for s in traces.spikes] == [0, 0]
+
+
 def test_trace_sampling_grid():
     cfg = NetworkConfig(n_neurons=2, sample_interval=1e-3)
     net = build_network(cfg)
@@ -179,3 +189,221 @@ def test_config_validation():
         NetworkConfig(code_min=5, code_max=2)
     with pytest.raises(ConfigurationError):
         NetworkConfig(sample_interval=1e-6)  # below dt
+
+
+def test_connection_widths_match_pulse_width_for_every_code():
+    weight = WeightParams(tau_unit=37e-6, w0=3e-6)
+    codes = list(range(N_CODES))
+    cfg = NetworkConfig(n_neurons=2, weight=weight,
+                        connections=[Connection(0, 1, "exc", c) for c in codes])
+    sim = NetworkSim(build_network(cfg))
+    expected = np.array([pulse_width(c, weight) for c in codes])
+    assert sim._widths.tobytes() == expected.tobytes()
+    bad = Network(NetworkConfig(n_neurons=2), [0], [1], [True], [N_CODES])
+    with pytest.raises(ValueError, match="weight code must be in"):
+        NetworkSim(bad)
+
+
+def test_simulate_rejects_a_duration_that_is_not_finite():
+    net = build_network(NetworkConfig(n_neurons=1))
+    with pytest.raises(ValueError, match="duration must be finite"):
+        simulate(net, None, math.inf)
+    with pytest.raises(ValueError, match="duration must be positive"):
+        simulate(net, None, math.nan)
+
+
+# ---------------------------------------------------------------------------
+# simulate() and NetworkSim.advance() against a plain loop over step()
+# ---------------------------------------------------------------------------
+
+def stepped_run(network, external_inputs, duration):
+    """simulate() written as a plain loop over NetworkSim.step.
+
+    Returns the traces and, per step, the membranes, ring phases, fired and
+    edge masks after it.
+    """
+    cfg = network.config
+    dt, n = cfg.dt, cfg.n_neurons
+    n_steps = int(round(duration / dt))
+    exc = inh = None
+    if external_inputs:
+        exc = np.zeros((n_steps, n), dtype=bool)
+        inh = np.zeros((n_steps, n), dtype=bool)
+        for i, (exc_train, inh_train) in external_inputs.items():
+            if exc_train is not None:
+                exc[:, i] = exc_train.step_levels(dt, n_steps)
+            if inh_train is not None:
+                inh[:, i] = inh_train.step_levels(dt, n_steps)
+    sim = NetworkSim(network)
+    every = max(1, int(round(cfg.sample_interval / dt)))
+    run = {"sample_times": [0.0], "v_mem": [sim.v], "v_syn": [sim.sv],
+           "freq_hz": [sim.synapse_frequencies()],
+           "v": [], "phase": [], "fired": [], "edged": []}
+    spikes = [[] for _ in range(n)]
+    for k in range(n_steps):
+        fired = sim.step(None if exc is None else exc[k],
+                         None if inh is None else inh[k])
+        for i in np.flatnonzero(fired):
+            spikes[i].append((k + 1) * dt)
+        if (k + 1) % every == 0:
+            run["sample_times"].append((k + 1) * dt)
+            run["v_mem"].append(sim.v)
+            run["v_syn"].append(sim.sv)
+            run["freq_hz"].append(sim.synapse_frequencies())
+        run["v"].append(sim.v)
+        run["phase"].append(sim.sphase)
+        run["fired"].append(fired)
+        run["edged"].append(sim.edged)
+    run = {key: np.array(value) for key, value in run.items()}
+    run["spikes"] = [np.array(s, dtype=float) for s in spikes]
+    return run
+
+
+def assert_same_traces(traces, expected):
+    """Equal bytes, so a -0.0 or a last-bit difference shows."""
+    for name in ("sample_times", "v_mem", "v_syn", "freq_hz"):
+        assert getattr(traces, name).tobytes() == expected[name].tobytes(), name
+    assert [s.tobytes() for s in traces.spikes] == \
+        [s.tobytes() for s in expected["spikes"]]
+
+
+@pytest.fixture
+def stepped_ks(monkeypatch):
+    """The step index k of every call to NetworkSim.step."""
+    ks = []
+    step = NetworkSim.step
+
+    def spy(self, *args):
+        ks.append(self.k)
+        return step(self, *args)
+
+    monkeypatch.setattr(NetworkSim, "step", spy)
+    return ks
+
+
+def test_simulate_matches_step_loop_with_inhibition_and_window_ends(stepped_ks):
+    # Per-neuron trains: an inhibitory one long enough to clamp its membrane
+    # at 0 for many steps, an excitatory one, and both on one neuron. At
+    # dt = 1e-4 a window spans at most 15 steps; the sample interval is
+    # not a multiple of dt.
+    cfg = NetworkConfig(n_neurons=8, connection_probability=0.2, seed=0,
+                        dt=1e-4, sample_interval=3.5e-4)
+    net = build_network(cfg)
+    duration = 0.5
+    inputs = {0: (None, periodic_train(40.0, 4e-3, duration)),
+              1: (periodic_train(70.0, 1e-3, duration), None),
+              2: (periodic_train(30.0, 2e-3, duration),
+                  periodic_train(45.0, 3e-3, duration))}
+    expected = stepped_run(net, inputs, duration)
+    stepped_ks.clear()
+    assert_same_traces(simulate(net, inputs, duration), expected)
+
+    n_steps = len(expected["v"])
+    in_window = ~np.isin(np.arange(n_steps), stepped_ks)
+    next_stepped = np.isin(np.arange(n_steps) + 1, stepped_ks)
+    assert in_window.sum() > n_steps // 2
+    assert not (expected["edged"].any(axis=1) & in_window).any()
+    # a membrane clamped at 0 inside a window
+    assert ((expected["v"] == 0.0).any(axis=1) & in_window).any()
+    # a spike on the last row of a window that an edge step ends
+    assert (expected["fired"].any(axis=1) & in_window & next_stepped).any()
+
+
+@pytest.mark.parametrize("cfg", [
+    NetworkConfig(n_neurons=1),
+    NetworkConfig(n_neurons=4),
+    # v_syn stays below the oscillation onset: no ring ever has an edge
+    NetworkConfig(n_neurons=3, connection_probability=1.0,
+                  synapse=SynapseParams(delta_up=0.01)),
+], ids=["one_neuron", "no_connections", "no_edges"])
+def test_simulate_matches_step_loop(cfg, stepped_ks):
+    net = build_network(cfg)
+    expected = stepped_run(net, None, 0.1)
+    stepped_ks.clear()
+    assert_same_traces(simulate(net, None, 0.1), expected)
+    assert len(stepped_ks) < len(expected["v"]) // 2
+    if cfg.synapse.delta_up == 0.01:
+        assert not expected["edged"].any()
+        assert expected["fired"].any()
+
+
+def test_simulate_matches_step_loop_at_the_fastest_firing_rate(stepped_ks):
+    # An excitatory input that stays high makes the neuron fire every
+    # v_th / ((r_base + r_exc) * dt) = 16.7 steps, just more than a window
+    # of at most 15 steps at dt = 1e-4 can hold.
+    cfg = NetworkConfig(n_neurons=1, dt=1e-4)
+    net = build_network(cfg)
+    inputs = {0: (periodic_train(4.0, 0.24, 0.3), None)}
+    expected = stepped_run(net, inputs, 0.3)
+    stepped_ks.clear()
+    assert_same_traces(simulate(net, inputs, 0.3), expected)
+    assert np.diff(np.flatnonzero(expected["fired"][:, 0])).min() == 16
+    assert len(stepped_ks) < len(expected["v"]) // 2
+
+
+def test_advance_wraps_a_phase_of_exactly_one(stepped_ks):
+    # With f_max * dt = 2**-9 and v_syn held above saturation, the ring
+    # phase is a sum of exact binary fractions and reaches exactly 1.0.
+    cfg = NetworkConfig(n_neurons=1, dt=2.0 ** -17,
+                        synapse=SynapseParams(f_max=256.0))
+
+    def start():
+        sim = NetworkSim(build_network(cfg))
+        sim.sv[:] = 2.0
+        return sim
+
+    oracle = start()
+    exactly_one = []  # steps whose phase reaches exactly 1.0 and wraps to 0
+    for k in range(1200):
+        oracle.step()
+        if oracle.edged[0] and oracle.sphase[0] == 0.0:
+            exactly_one.append(k)
+    assert exactly_one
+    stepped_ks.clear()
+    sim = start()
+    sim.advance(1200)
+    assert all(k in stepped_ks and k - 1 not in stepped_ks for k in exactly_one)
+    for name in ("v", "sv", "sphase"):
+        assert getattr(sim, name).tobytes() == getattr(oracle, name).tobytes(), name
+
+
+def test_spike_charge_that_wraps_its_ring_ends_the_window(stepped_ks):
+    # A lone neuron fires in step 10, half a step after its crossing. Its
+    # ring phase is placed so that it stays below 1 in that step and only
+    # the phase credit of the charge takes it past 1, so the wrap is
+    # emitted at the start of step 11.
+    cfg = NetworkConfig(n_neurons=1, synapse=SynapseParams(delta_up=1.0))
+    v_th, r_base, dt = cfg.neuron.v_th, cfg.neuron.r_base, cfg.dt
+
+    def start(v, phase):
+        sim = NetworkSim(build_network(cfg))
+        sim.v[:] = v
+        sim.sv[:] = 0.5
+        sim.sphase[:] = phase
+        return sim
+
+    def phase_after(sim, n_steps):
+        for _ in range(n_steps):
+            sim.step()
+        return sim.sphase[0]
+
+    v0 = v_th - 10.5 * r_base * dt
+    charged = phase_after(start(v0, 0.0), 11)
+    uncharged = phase_after(start(0.0, 0.0), 11)
+    assert charged > uncharged
+    phase0 = 1.0 - 0.5 * (charged + uncharged)
+
+    oracle = start(v0, phase0)
+    fired = [bool(oracle.step()[0]) for _ in range(11)]
+    assert fired == [False] * 10 + [True]
+    assert not oracle.edged[0] and oracle.sphase[0] >= 1.0
+    for _ in range(9):
+        oracle.step()
+
+    stepped_ks.clear()
+    sim = start(v0, phase0)
+    sim.advance(20)
+    assert 10 not in stepped_ks and 11 in stepped_ks
+    for name in ("v", "sv", "sphase"):
+        assert getattr(sim, name).tobytes() == getattr(oracle, name).tobytes(), name
+    assert sim.k == oracle.k == 20

@@ -1,11 +1,13 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.integrate import trapezoid
 
-from tdsnn import (ConfigurationError, FeedbackParams, NetworkConfig, RlsState,
-                   TargetSpec, TrainConfig, build_network, encode_feedback,
-                   evaluate, normalized_state, pulse_train_from_rate, readout,
-                   rls_update, train_force)
+from tdsnn import (ConfigurationError, FeedbackParams, NetworkConfig, NetworkSim,
+                   RlsState, TargetSpec, TrainConfig, build_network,
+                   encode_feedback, evaluate, normalized_state,
+                   pulse_train_from_rate, readout, rls_update, train_force)
 
 
 # ---------------------------------------------------------------------------
@@ -127,11 +129,15 @@ def test_encode_feedback_sign_split():
 
 def test_encode_feedback_caps_and_exclusivity():
     fb = FeedbackParams(gain=200.0, f_fb_max=200.0)
-    for z in np.linspace(-5, 5, 101):
+    zs = np.linspace(-5, 5, 101)
+    for z in zs:
         f_exc, f_inh = encode_feedback(float(z), fb)
         assert f_exc * f_inh == 0.0
         assert 0.0 <= f_exc <= fb.f_fb_max
         assert 0.0 <= f_inh <= fb.f_fb_max
+    # an array is encoded element by element
+    f_exc, f_inh = encode_feedback(zs, fb)
+    assert list(zip(f_exc, f_inh)) == [encode_feedback(float(z), fb) for z in zs]
 
 
 def test_encode_feedback_nonfinite():
@@ -271,3 +277,92 @@ def test_train_config_validation():
         TrainConfig(learn_interval=0.0)
     with pytest.raises(ConfigurationError):
         TrainConfig(frequency_range=(200.0, 15.0))
+
+
+def stepped_train_force(network, train_cfg, fb):
+    """train_force written as a plain loop over NetworkSim.step, with the
+    feedback encoded and emitted step by step."""
+    cfg = network.config
+    dt, n = cfg.dt, cfg.n_neurons
+    f_lo, f_hi = train_cfg.frequency_range
+    sim = NetworkSim(network, synapse_override=replace(
+        cfg.synapse, f_min=f_lo, f_max=f_hi))
+    target = train_cfg.target
+    steps_per_period = int(round(1.0 / target.frequency / dt))
+    train_steps = train_cfg.train_periods * steps_per_period
+    total_steps = (train_cfg.train_periods + train_cfg.eval_periods) * steps_per_period
+    m = max(1, int(round(train_cfg.learn_interval / dt)))
+    every = max(1, int(round(cfg.sample_interval / dt)))
+    width = max(1, int(round(fb.pulse_width / dt)))
+    emitters = [{"phase": 0.5, "countdown": 0} for _ in range(2)]
+
+    def emit(em, rate):
+        if rate > 0:
+            em["phase"] += rate * dt
+            if em["phase"] >= 1.0:
+                em["phase"] -= 1.0
+                em["countdown"] = width
+        level = em["countdown"] > 0
+        em["countdown"] = max(em["countdown"] - 1, 0)
+        return level
+
+    rls = RlsState.initial(n, train_cfg.rls_init_alpha)
+    out = {name: [] for name in ("z_times", "z", "target", "r_states")}
+    out.update(sample_times=[0.0], v_mem=[sim.v], v_syn=[sim.sv],
+               freq_hz=[sim.synapse_frequencies()])
+    spikes = [[] for _ in range(n)]
+    z_held = readout(normalized_state(sim.synapse_frequencies(), f_lo, f_hi), rls.w)
+    for k in range(total_steps):
+        training = k < train_steps
+        if training and train_cfg.teacher_forcing:
+            sig = float(target.value(k * dt))
+        else:
+            sig = z_held
+        rates = encode_feedback(sig, fb)
+        fired = sim.step(emit(emitters[0], rates[0]), emit(emitters[1], rates[1]))
+        for i in np.flatnonzero(fired):
+            spikes[i].append((k + 1) * dt)
+        if (k + 1) % m == 0:
+            r = normalized_state(sim.synapse_frequencies(), f_lo, f_hi)
+            z = readout(r, rls.w)
+            tgt = float(target.value((k + 1) * dt))
+            if training:
+                rls = rls_update(rls, r, z, tgt)
+            for name, value in (("z_times", (k + 1) * dt), ("z", z),
+                                ("target", tgt), ("r_states", r)):
+                out[name].append(value)
+            z_held = z
+        if (k + 1) % every == 0:
+            for name, value in (("sample_times", (k + 1) * dt), ("v_mem", sim.v),
+                                ("v_syn", sim.sv),
+                                ("freq_hz", sim.synapse_frequencies())):
+                out[name].append(value)
+    out = {name: np.array(value) for name, value in out.items()}
+    out["spikes"] = [np.array(s, dtype=float) for s in spikes]
+    return rls, out
+
+
+@pytest.mark.parametrize("teacher_forcing", [True, False])
+def test_train_force_matches_step_loop(teacher_forcing):
+    # The learn interval (70 steps) divides neither the training part
+    # (4000 steps) nor the run (6000), so one interval straddles the end of
+    # training and a last, partial one has no update. The sample interval
+    # is not a multiple of dt.
+    cfg = NetworkConfig(n_neurons=20, connection_probability=0.2, seed=1,
+                        sample_interval=3.3e-5)
+    net = build_network(cfg)
+    tcfg = TrainConfig(target=TargetSpec(frequency=50.0), train_periods=2,
+                       eval_periods=1, learn_interval=7e-4,
+                       teacher_forcing=teacher_forcing)
+    fb = FeedbackParams()
+    rls, traces = train_force(net, tcfg, fb)
+    expected_rls, expected = stepped_train_force(net, tcfg, fb)
+    assert rls.w.tobytes() == expected_rls.w.tobytes()
+    assert rls.P.tobytes() == expected_rls.P.tobytes()
+    for name in ("sample_times", "v_mem", "v_syn", "freq_hz", "z_times", "z",
+                 "target", "r_states"):
+        assert getattr(traces, name).tobytes() == expected[name].tobytes(), name
+    assert [s.tobytes() for s in traces.spikes] == \
+        [s.tobytes() for s in expected["spikes"]]
+    assert len(expected["z"]) == 6000 // 70
+    assert traces.train_end_time == 4000 * cfg.dt
