@@ -180,21 +180,26 @@ class NetworkSim:
     inputs keep their level at the step start, and a ring wrap that a
     spike's charge causes late in the step is emitted at the next step start.
 
-    advance() commits many steps at once, bit-identical to step(). A ring
-    edge is the only event that couples one neuron to another, so between
-    two edges every neuron and its synapse evolve on their own: a window of
-    edge-free steps is computed a whole array of rows at a time, and only a
-    step with an edge goes through step(). The window is at most
-    floor(v_th / ((r_base + r_exc) * dt)) - 1 steps long, so no neuron fires
-    twice inside it, and at most _WINDOW_VALUES / n steps, so its arrays
-    stay small. It is sized from the runs of edge-free steps: one step
-    longer than the last run or the current one, whichever is longer, so it
-    grows while no edge comes. Below _MIN_WINDOW steps, one step() is
-    cheaper, so advance() steps.
+    step(rows=...) and advance() commit many steps at once, bit-identical
+    to as many single steps. A ring edge is the only event that couples one
+    neuron to another, so between two edges every neuron and its synapse
+    evolve on their own: the edge-free steps before the next edge are
+    computed as one window of array rows, and only the edge step itself is
+    a single step. A window holds at most
+    floor(v_th / ((r_base + r_exc) * dt)) - 1 rows, so no neuron fires twice
+    inside it. advance() sizes each window from the runs of edge-free
+    steps: one row longer than the last run or the current one, whichever
+    is longer, so it grows while no edge comes. A window costs about as
+    much as _MIN_WINDOW single steps, so below that many rows step() makes
+    one single step instead.
     """
 
-    _MIN_WINDOW = 8  # shorter runs cost less as single steps
-    _WINDOW_VALUES = 1 << 15  # per state of a window: bounds its memory
+    # Measured on a 2-vCPU Xeon with NumPy 2.4, edge- and spike-free rows:
+    # a window of r rows takes about 28 + 2.8·r µs at N=100 and 45 + 15·r µs
+    # at N=1000, against 17 and 25 µs a single step, so it breaks even at 2
+    # and 5 rows. End to end, thresholds of 3 to 10 rows are within 5% on
+    # train_force (N=100) and a driven N=1000 simulate (see CHANGES.md).
+    _MIN_WINDOW = 6
 
     def __init__(self, network: Network, synapse_override: Optional[SynapseParams] = None):
         cfg = network.config
@@ -232,14 +237,12 @@ class NetworkSim:
 
         # A neuron restarts from v >= 0 after a spike and rises by at most
         # (r_base + r_exc) * dt per step, so it cannot fire twice in this
-        # many steps; a window never holds more, nor more rows than keep
-        # its arrays small.
+        # many steps; a window never holds more.
         p = self.neuron
-        self._max_rows = min(math.floor(p.v_th / ((p.r_base + p.r_exc) * self.dt)) - 1,
-                             self._WINDOW_VALUES // self.n)
+        self._max_rows = max(math.floor(p.v_th / ((p.r_base + p.r_exc) * self.dt)) - 1, 1)
         self._run = 0       # edge-free steps since the last edge
         self._last_run = 0  # edge-free steps before the last edge
-        self._win = np.empty((5, 1, self.n))  # window rows, grown on demand
+        self._win = np.empty((5, 2, self.n))  # window rows, grown on demand
 
     @property
     def t(self) -> float:
@@ -309,8 +312,31 @@ class NetworkSim:
         f_mid = osc_frequency(np.stack([charged, at_crossing]) * half, s)
         return charged * to_end, (f_mid[0] - f_mid[1]) * after
 
-    def step(self, ext_exc=None, ext_inh=None) -> np.ndarray:
-        """Advance by dt; returns the fired mask for this step."""
+    def step(self, ext_exc=None, ext_inh=None, rows: Optional[int] = None) -> np.ndarray:
+        """Advance by dt; returns the fired mask for this step.
+
+        Given rows, advance instead by the steps up to and including the
+        next ring edge, at most rows of them: the edge-free steps as one
+        window, then the edge step. ext_exc and ext_inh then hold one row of
+        levels per step, the mask has one row per step committed, and
+        self._win[2] and self._win[0] hold the membranes and v_syn after
+        step r in row r + 1.
+        """
+        if rows is None:
+            return self._step(ext_exc, ext_inh)
+        end, spikes = self._window(rows, ext_exc, ext_inh) \
+            if rows >= self._MIN_WINDOW else (0, None)
+        fired = np.zeros((end + (end < rows), self.n), dtype=bool)
+        if spikes is not None:
+            fired[spikes] = True
+        if end < rows:
+            fired[end] = self._step(*[None if e is None else e[end]
+                                      for e in (ext_exc, ext_inh)])
+            self._win[0, end + 1] = self.sv
+            self._win[2, end + 1] = self.v
+        return fired
+
+    def _step(self, ext_exc, ext_inh) -> np.ndarray:
         p = self.neuron
         s = self.synapse
         dt = self.dt
@@ -366,49 +392,45 @@ class NetworkSim:
         while done < n_steps:
             rows = min(n_steps - done, self._max_rows,
                        max(self._run, self._last_run) + 1)
-            if rows >= self._MIN_WINDOW:
-                k = self.k
-                steps, spike_rows, spike_ids = self._window(
-                    rows, *[None if e is None else e[done:done + rows] for e in ext])
-                if recorder is not None:
-                    recorder.record(k, self._win[2, 1:steps + 1],
-                                    self._win[0, 1:steps + 1], spike_rows, spike_ids)
-                done += steps
-                if steps == rows or done == n_steps:
-                    continue  # else the window ended before a ring edge
             k = self.k
-            fired = self.step(*[None if e is None else e[done] for e in ext])
+            fired = self.step(*[None if e is None else e[done:done + rows] for e in ext],
+                              rows=rows)
+            steps = len(fired)
             if recorder is not None:
-                recorder.record(k, self.v[None], self.sv[None],
-                                *np.nonzero(fired[None]))
-            done += 1
+                recorder.record(k, self._win[2, 1:steps + 1], self._win[0, 1:steps + 1],
+                                fired)
+            done += steps
 
     def _window(self, rows: int, ext_exc, ext_inh):
         """Commit the steps before the next ring edge, at most rows of them.
 
-        Returns the number of steps committed and the (row, neuron) pairs
-        of their spikes. After the call, self._win holds per step row r the
-        states at its start (r) and end (r + 1): v_syn in [0], the ring
-        phase in [1] and the membrane in [2].
+        Returns the number of steps committed and the (row, neuron) indices
+        of their spikes, or None. After the call, self._win holds per step
+        row r the states at its start (r) and end (r + 1): v_syn in [0], the
+        ring phase in [1] and the membrane in [2].
         """
         n, dt, p, s = self.n, self.dt, self.neuron, self.synapse
         if self._win.shape[1] <= rows:
+            self._win = None  # free the old rows before the new ones are made
             self._win = np.empty((5, rows + 1, n))
         sv, phase, v = self._win[:3, :rows + 1]
 
         # Synapses without spikes: v_syn decays step by step, and the ring
-        # phase integrates the frequency at each step's midpoint. The first
-        # row whose phase reaches 1 has an edge and ends the window.
+        # phase integrates the frequency at each step's midpoint, computed
+        # in the phase rows themselves. The first row whose phase reaches 1
+        # has an edge and ends the window.
         sv[0] = self.sv
         sv[1:] = self._decay
         np.multiply.accumulate(sv, axis=0, out=sv)
         phase[0] = self.sphase
-        np.multiply(osc_frequency(sv[:-1] * self._mid_decay, s), dt, out=phase[1:])
+        f = np.multiply(sv[:-1], self._mid_decay, out=phase[1:])
+        osc_frequency(f, s, out=f)
+        f *= dt
         np.add.accumulate(phase, axis=0, out=phase)
         edges = np.flatnonzero((phase[1:] >= 1.0).any(axis=1))
         end = int(edges[0]) if edges.size else rows
         if end == 0:
-            return 0, None, None
+            return 0, None
 
         # Membranes: no pulse starts before the edge, so each input level
         # follows from the end time of its channel's pulses.
@@ -443,14 +465,13 @@ class NetworkSim:
                 spike_rows.append(np.full(len(ids), r))
                 spike_ids.append(ids)
 
+        spikes = None
         if spike_ids:
             rs = np.concatenate(spike_rows)
             cs = np.concatenate(spike_ids)
             end = self._refold(rs, cs, end, rate)
             keep = rs < end
-            rs, cs = rs[keep], cs[keep]
-        else:
-            rs = cs = np.empty(0, dtype=np.intp)
+            spikes = rs[keep], cs[keep]
 
         self.v = v[end].copy()
         self.sv = sv[end].copy()
@@ -458,41 +479,54 @@ class NetworkSim:
         self.edged = np.zeros(n, dtype=bool)
         self.k += end
         self._run += end
-        return end, rs, cs
+        return end, spikes
 
     def _refold(self, rs, cs, end: int, rate) -> int:
         """Apply the spikes of neurons cs in window rows rs (ascending, one
         per neuron) to their synapses, and return the window's new end.
 
         Each charged column is folded again from its spike on, in one block
-        whose rows before a column's spike hold identity elements: 1.0 in
-        the v_syn product and 0.0 in the phase sum. A charge speeds its ring
-        up, so the column is checked again for an earlier edge.
+        of state rows whose rows before a column's spike hold identity
+        elements: 1.0 in the v_syn product and 0.0 in the phase sum; those
+        rows then take their old values back. A charge speeds its ring up,
+        so the column is checked again for an earlier edge. The blocks live
+        in the level planes of self._win, which the window no longer needs
+        once rate has been read.
         """
         sv, phase, v = self._win[:3]
         charged, credit = self._charge(sv[rs + 1, cs], v[rs + 1, cs] / rate[rs, cs])
+        spike_phase = phase[rs + 1, cs] + credit
         lo = int(rs[0]) + 1  # first state row that changes
+        shape = (end + 1 - lo, len(cs))
+        old, new = (plane.reshape(-1)[:shape[0] * shape[1]].reshape(shape)
+                    for plane in self._win[3:])
         rel = rs + 1 - lo    # the spike's state row in the block
         at = (rel, np.arange(len(cs)))
-        before = np.arange(end + 1 - lo)[:, None] < rel
-        block_sv = np.where(before, 1.0, self._decay)
-        block_sv[at] = charged
-        np.multiply.accumulate(block_sv, axis=0, out=block_sv)
-        block_phase = np.empty_like(block_sv)
-        block_phase[0] = 0.0
-        np.multiply(osc_frequency(block_sv[:-1] * self._mid_decay, self.synapse),
-                    self.dt, out=block_phase[1:])
-        block_phase[before] = 0.0
-        block_phase[at] = phase[rs + 1, cs] + credit
-        np.add.accumulate(block_phase, axis=0, out=block_phase)
-        sv[lo:end + 1, cs] = np.where(before, sv[lo:end + 1, cs], block_sv)
-        phase[lo:end + 1, cs] = np.where(before, phase[lo:end + 1, cs], block_phase)
+        after = np.arange(shape[0])[:, None] >= rel
+
+        new[...] = 1.0
+        new[after] = self._decay
+        new[at] = charged
+        np.multiply.accumulate(new, axis=0, out=new)
+        np.take(sv[lo:end + 1], cs, axis=1, out=old, mode="clip")
+        np.copyto(old, new, where=after)
+        sv[lo:end + 1, cs] = old
+
+        new[0] = 0.0
+        f = np.multiply(old[:-1], self._mid_decay, out=new[1:])
+        osc_frequency(f, self.synapse, out=f)
+        f *= self.dt
+        new[~after] = 0.0
+        new[at] = spike_phase
+        np.add.accumulate(new, axis=0, out=new)
         # The spike's own row had no edge before the credit; a later row
-        # whose phase reaches 1 has one.
-        late = block_phase >= 1.0
-        late[before] = False
+        # whose phase reaches 1 has one (rows before the spike hold 0).
+        late = new >= 1.0
         late[at] = False
         edges = np.flatnonzero(late.any(axis=1))
+        np.take(phase[lo:end + 1], cs, axis=1, out=old, mode="clip")
+        np.copyto(old, new, where=after)
+        phase[lo:end + 1, cs] = old
         return min(end, lo + int(edges[0]) - 1) if edges.size else end
 
 
@@ -516,10 +550,9 @@ class Recorder:
         self._spike_ids: list[np.ndarray] = []
         self.record(sim.k - 1, sim.v[None], sim.sv[None])  # the state now
 
-    def record(self, k: int, v, sv, spike_rows=None, spike_ids=None) -> None:
-        """Record the state after steps k + 1, k + 2, ...: row i of v and sv
-        holds it after step k + 1 + i; neuron spike_ids[j] fired in the step
-        of row spike_rows[j]."""
+    def record(self, k: int, v, sv, fired=None) -> None:
+        """Record the state after steps k + 1, k + 2, ...: row i of v, sv
+        and the fired mask holds it after step k + 1 + i."""
         first = -(k + 1) % self.every  # the first row to sample
         if first < len(v):
             rows = np.arange(first, len(v), self.every)
@@ -529,7 +562,8 @@ class Recorder:
             self.v_syn[i:j] = sv[rows]
             self.freq_hz[i:j] = osc_frequency(sv[rows], self.sim.synapse)
             self.n_samples = j
-        if spike_ids is not None and len(spike_ids):
+        if fired is not None and fired.any():
+            spike_rows, spike_ids = np.nonzero(fired)
             self._spike_steps.append(k + 1 + spike_rows)
             self._spike_ids.append(spike_ids)
 

@@ -56,17 +56,21 @@ class SynapseState:
     phase: float = 0.0
 
 
-def osc_frequency(v_syn, params: SynapseParams):
+def osc_frequency(v_syn, params: SynapseParams, out=None):
     """Ring frequency for a supply voltage: 0 below onset, else linear.
 
     Accepts scalars or arrays. The active branch is clamped to
-    [f_min, f_max].
+    [f_min, f_max]. An array result is written to out if given, which may
+    be v_syn itself; no other float array of its size is allocated.
     """
     v = np.asarray(v_syn, dtype=float)
-    span = params.v_max - params.v_osc
-    f = params.f_min + (params.f_max - params.f_min) * (v - params.v_osc) / span
-    f = np.clip(f, params.f_min, params.f_max)
-    f = np.where(v < params.v_osc, 0.0, f)
+    below = v < params.v_osc
+    f = np.subtract(v, params.v_osc, out=np.empty(v.shape) if out is None else out)
+    f *= params.f_max - params.f_min
+    f /= params.v_max - params.v_osc
+    f += params.f_min
+    np.clip(f, params.f_min, params.f_max, out=f)
+    f[below] = 0.0
     if np.ndim(v_syn) == 0:
         return float(f)
     return f

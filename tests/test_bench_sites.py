@@ -1,23 +1,58 @@
 """The benchmark's traced run wraps names inside the package.
 
 bench/tracing.py replaces each (owner, attribute) of its sites() list, so a
-refactor that removes or renames one of them breaks the traced run. Its own
-tests are not part of this suite, so this test checks the names here.
+refactor that removes or renames one of them breaks the traced run. It
+also counts spikes, ring edges and pulses started from what
+NetworkSim.step returns. Its own tests are not part of this suite, so these
+tests check both here.
 """
 
 import importlib.util
 from pathlib import Path
 
+import numpy as np
+
 import tdsnn
+from tdsnn import NetworkConfig, NetworkSim, build_network
 
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 
 
-def test_every_traced_site_exists():
+def load_tracing():
     spec = importlib.util.spec_from_file_location("bench_tracing", TRACING)
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
-    sites = tracing.sites(tdsnn)
+    return tracing
+
+
+def test_every_traced_site_exists():
+    sites = load_tracing().sites(tdsnn)
     missing = [f"{getattr(owner, '__name__', owner)}.{attr}"
                for owner, attr, _, _ in sites if attr not in vars(owner)]
     assert sites and missing == []
+
+
+def test_traced_counts_match_a_step_loop():
+    # simulate() commits most steps in windows; each window still passes
+    # through NetworkSim.step, so the traced counts are those of stepping.
+    net = build_network(NetworkConfig(n_neurons=20, connection_probability=0.2,
+                                      seed=1))
+    duration = 0.2
+    out_degree = np.bincount(net.pre, minlength=20)
+    sim = NetworkSim(net)
+    n_steps = int(round(duration / sim.dt))
+    spikes = edges = pulses = 0
+    for _ in range(n_steps):
+        spikes += int(sim.step().sum())
+        edges += int(sim.edged.sum())
+        pulses += int(out_degree[sim.edged].sum())
+
+    tracing = load_tracing()
+    tracer = tracing.Tracer()
+    with tracing.installed(tracer, tdsnn):
+        traces = tdsnn.simulate(net, None, duration)
+    counts = tracer.counts
+    assert spikes > 0 and traces.spike_counts().sum() == spikes
+    assert (counts["network.spikes"], counts["network.ring_edges"],
+            counts["network.pulses_started"]) == (spikes, edges, pulses)
+    assert tracer.stats["network.step"][0] < n_steps // 2

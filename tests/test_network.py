@@ -269,15 +269,15 @@ def assert_same_traces(traces, expected):
 
 @pytest.fixture
 def stepped_ks(monkeypatch):
-    """The step index k of every call to NetworkSim.step."""
+    """The step index k of every single step, the steps outside a window."""
     ks = []
-    step = NetworkSim.step
+    step = NetworkSim._step
 
     def spy(self, *args):
         ks.append(self.k)
         return step(self, *args)
 
-    monkeypatch.setattr(NetworkSim, "step", spy)
+    monkeypatch.setattr(NetworkSim, "_step", spy)
     return ks
 
 
