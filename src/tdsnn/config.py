@@ -7,6 +7,7 @@ round-trips exactly.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field, fields
 
@@ -150,7 +151,13 @@ def _check_keys(section: str, given: dict, allowed) -> None:
 def _coerce_number(section, key, value):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigurationError(f"[{section}] {key} must be a number")
-    return float(value)
+    try:
+        number = float(value)
+    except OverflowError:  # an integer literal beyond the float range
+        number = math.inf
+    if not math.isfinite(number):
+        raise ConfigurationError(f"[{section}] {key} must be finite")
+    return number
 
 
 def _coerce_int(section, key, value):
@@ -239,12 +246,11 @@ def parse_config(text: str) -> SimulationConfig:
         train_kwargs["teacher_forcing"] = res["teacher_forcing"]
     if "frequency_range" in res:
         fr = res["frequency_range"]
-        if not (isinstance(fr, list) and len(fr) == 2
-                and all(isinstance(x, (int, float)) and not isinstance(x, bool)
-                        for x in fr)):
+        if not (isinstance(fr, list) and len(fr) == 2):
             raise ConfigurationError(
                 "[reservoir] frequency_range must be [f_min, f_max]")
-        train_kwargs["frequency_range"] = (float(fr[0]), float(fr[1]))
+        train_kwargs["frequency_range"] = tuple(
+            _coerce_number("reservoir", "frequency_range", x) for x in fr)
     try:
         train = TrainConfig(target=TargetSpec(**tgt_kwargs), **train_kwargs)
     except ValueError as exc:

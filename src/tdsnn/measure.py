@@ -60,6 +60,8 @@ def weighted_drive(input_freq: float, code: int, duration: float,
     The source contributes one rising edge per period; the weight code sets
     the pulse width.
     """
+    if not math.isfinite(duration):
+        raise ValueError("duration must be finite")
     if input_freq <= 0:
         return PulseTrain.empty()
     n = int(math.ceil(duration * input_freq))

@@ -187,9 +187,14 @@ class NetworkSim:
     computed as one window of array rows, and only the edge step itself is
     a single step. A window holds at most
     floor(v_th / ((r_base + r_exc) * dt)) - 1 rows, so no neuron fires twice
-    inside it. advance() sizes each window from the runs of edge-free
-    steps: one row longer than the last run or the current one, whichever
-    is longer, so it grows while no edge comes. A window costs about as
+    inside it. advance() sizes each window from the rings' state. v_syn
+    only leaks between charges, so a ring's frequency only falls, and ring
+    j cannot reach its edge sooner than (1 - phase_j) / (f_j * dt) steps
+    from now, f_j * dt being the phase its last committed step added. A
+    window asks for two rows more than the least of these gaps; a ring
+    whose neuron fires gets faster, but the window's exact edge test then
+    ends the window at its edge. A silent ring gives no bound, and a ring
+    at or past phase 1 asks for a single step. A window costs about as
     much as _MIN_WINDOW single steps, so below that many rows step() makes
     one single step instead.
     """
@@ -197,8 +202,11 @@ class NetworkSim:
     # Measured on a 2-vCPU Xeon with NumPy 2.4, edge- and spike-free rows:
     # a window of r rows takes about 28 + 2.8·r µs at N=100 and 45 + 15·r µs
     # at N=1000, against 17 and 25 µs a single step, so it breaks even at 2
-    # and 5 rows. End to end, thresholds of 3 to 10 rows are within 5% on
-    # train_force (N=100) and a driven N=1000 simulate (see CHANGES.md).
+    # and 5 rows. With windows sized from the rings' state, a request below
+    # the threshold means an edge is a few steps away. End to end (medians
+    # of 15 alternating runs), thresholds of 3, 4 and 6 rows gave 2.63,
+    # 2.70 and 2.63 s on train_force (N=100) and 0.89, 0.87 and 0.84 s on a
+    # driven N=1000 simulate.
     _MIN_WINDOW = 6
 
     def __init__(self, network: Network, synapse_override: Optional[SynapseParams] = None):
@@ -240,8 +248,7 @@ class NetworkSim:
         # many steps; a window never holds more.
         p = self.neuron
         self._max_rows = max(math.floor(p.v_th / ((p.r_base + p.r_exc) * self.dt)) - 1, 1)
-        self._run = 0       # edge-free steps since the last edge
-        self._last_run = 0  # edge-free steps before the last edge
+        self._inc = np.zeros(self.n)  # phase each ring gained in the last step
         self._win = np.empty((5, 2, self.n))  # window rows, grown on demand
 
     @property
@@ -341,7 +348,8 @@ class NetworkSim:
         s = self.synapse
         dt = self.dt
         f = osc_frequency(self.sv * self._mid_decay, s)
-        phase = self.sphase + f * dt
+        self._inc = f * dt
+        phase = self.sphase + self._inc
         edged = phase >= 1.0
         self.edged = edged
         if edged.any():
@@ -350,9 +358,6 @@ class NetworkSim:
             to_wrap = np.maximum(1.0 - self.sphase[ids], 0.0)
             self._start_pulses(ids, to_wrap / np.maximum(f[ids], s.f_min))
             phase[ids] -= 1.0
-            self._last_run, self._run = self._run, 0
-        else:
-            self._run += 1
 
         exc, inh = self.recurrent_levels()
         if ext_exc is not None:
@@ -390,8 +395,12 @@ class NetworkSim:
                for e in (ext_exc, ext_inh)]
         done = 0
         while done < n_steps:
+            with np.errstate(divide="ignore", invalid="ignore"):
+                gap = np.min((1.0 - self.sphase) / self._inc)
+            # A gap <= 0 is a wrap carried over from a spike, and NaN a ring
+            # at phase 1 with f = 0: both wrap in the next step.
             rows = min(n_steps - done, self._max_rows,
-                       max(self._run, self._last_run) + 1)
+                       int(min(gap, self._max_rows)) + 2 if gap > 0 else 1)
             k = self.k
             fired = self.step(*[None if e is None else e[done:done + rows] for e in ext],
                               rows=rows)
@@ -476,9 +485,9 @@ class NetworkSim:
         self.v = v[end].copy()
         self.sv = sv[end].copy()
         self.sphase = phase[end].copy()
+        self._inc = phase[end] - phase[end - 1]
         self.edged = np.zeros(n, dtype=bool)
         self.k += end
-        self._run += end
         return end, spikes
 
     def _refold(self, rs, cs, end: int, rate) -> int:
@@ -544,7 +553,6 @@ class Recorder:
         self.sample_times = np.empty(n_samples)
         self.v_mem = np.empty((n_samples, sim.n))
         self.v_syn = np.empty((n_samples, sim.n))
-        self.freq_hz = np.empty((n_samples, sim.n))
         self.n_samples = 0
         self._spike_steps: list[np.ndarray] = []
         self._spike_ids: list[np.ndarray] = []
@@ -560,7 +568,6 @@ class Recorder:
             self.sample_times[i:j] = (k + 1 + rows) * self.sim.dt
             self.v_mem[i:j] = v[rows]
             self.v_syn[i:j] = sv[rows]
-            self.freq_hz[i:j] = osc_frequency(sv[rows], self.sim.synapse)
             self.n_samples = j
         if fired is not None and fired.any():
             spike_rows, spike_ids = np.nonzero(fired)
@@ -577,26 +584,40 @@ class Recorder:
         return TraceSet(dt=sim.dt, duration=duration, n_neurons=sim.n,
                         spikes=spikes, sample_times=self.sample_times[:n],
                         v_mem=self.v_mem[:n], v_syn=self.v_syn[:n],
-                        freq_hz=self.freq_hz[:n], **readout)
+                        freq_hz=osc_frequency(self.v_syn[:n], sim.synapse),
+                        **readout)
 
 
 def _external_level_arrays(external_inputs, n_neurons, dt, n_steps):
-    """Materialize pulse trains into per-step boolean matrices (or None)."""
+    """Materialize pulse trains into per-step boolean matrices (or None).
+
+    A step is high where its start time lies in [rise, rise + width) of a
+    pulse, as PulseTrain.step_levels samples it. The pulses of one train do
+    not overlap, so +1 at each pulse's first step and -1 after its last,
+    summed down the steps in place, leave 0 or 1.
+    """
     if not external_inputs:
         return None, None
-    exc = np.zeros((n_steps, n_neurons), dtype=bool)
-    inh = np.zeros((n_steps, n_neurons), dtype=bool)
-    any_exc = any_inh = False
-    for idx, (exc_train, inh_train) in external_inputs.items():
+    for idx in external_inputs:
         if not 0 <= idx < n_neurons:
             raise ConfigurationError(f"external input for unknown neuron {idx}")
-        if exc_train is not None and len(exc_train) > 0:
-            exc[:, idx] = exc_train.step_levels(dt, n_steps)
-            any_exc = True
-        if inh_train is not None and len(inh_train) > 0:
-            inh[:, idx] = inh_train.step_levels(dt, n_steps)
-            any_inh = True
-    return (exc if any_exc else None), (inh if any_inh else None)
+    times = np.arange(n_steps) * dt
+    levels = []
+    for side in (0, 1):
+        trains = [(idx, pair[side]) for idx, pair in external_inputs.items()
+                  if pair[side] is not None and len(pair[side]) > 0]
+        if not trains:
+            levels.append(None)
+            continue
+        cols = np.concatenate([np.full(len(train), idx) for idx, train in trains])
+        rises = np.concatenate([train.rises for _, train in trains])
+        ends = np.concatenate([train.ends for _, train in trains])
+        marks = np.zeros((n_steps + 1, n_neurons), dtype=np.int8)
+        np.add.at(marks, (np.searchsorted(times, rises), cols), 1)
+        np.add.at(marks, (np.searchsorted(times, ends), cols), -1)
+        np.add.accumulate(marks, axis=0, out=marks)
+        levels.append(marks[:n_steps].view(bool))
+    return tuple(levels)
 
 
 def simulate(network: Network, external_inputs=None, duration: float = 1.0) -> TraceSet:

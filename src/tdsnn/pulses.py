@@ -7,6 +7,7 @@ carries coupling strength.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -72,6 +73,8 @@ class PulseTrain:
 def periodic_train(freq_hz: float, width: float, duration: float,
                    start: float = 0.0) -> PulseTrain:
     """Regular pulse train at a fixed frequency, pulses within [start, duration)."""
+    if not math.isfinite(duration):
+        raise ValueError("duration must be finite")
     if freq_hz <= 0:
         return PulseTrain.empty()
     if width >= 1.0 / freq_hz:

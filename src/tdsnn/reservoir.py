@@ -114,6 +114,8 @@ def pulse_train_from_rate(f, width: float, duration: float,
     pulse after half a period and the total count is round(integral of f);
     crossing instants are interpolated within the step.
     """
+    if not math.isfinite(duration):
+        raise ValueError("duration must be finite")
     if width <= 0:
         raise ValueError("width must be positive")
     if dt <= 0:

@@ -75,3 +75,20 @@ def test_network_run_duration_not_finite_exits_1(duration, message, tmp_path, ca
     assert main(["network", "run", "--config", str(config),
                  f"--duration={duration}"]) == 1
     assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+
+
+@pytest.mark.parametrize("command, line, message", [
+    (["reservoir", "train"], "learn_interval = inf",
+     "[reservoir] learn_interval must be finite"),
+    (["network", "run"], "dt = nan", "[network] dt must be finite"),
+])
+def test_non_finite_config_value_exits_1(command, line, message, tmp_path, capsys):
+    key = line.split()[0]
+    text = serialize_config(SimulationConfig())
+    text = "\n".join(line if row.startswith(key + " ") else row
+                     for row in text.splitlines())
+    config = tmp_path / "run.toml"
+    config.write_text(text)
+    argv = command + ["--config", str(config), "--out", str(tmp_path / "out")]
+    assert main(argv) == 1
+    assert capsys.readouterr().err.splitlines() == [f"error: {message}"]

@@ -1,11 +1,14 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from tdsnn import (ConfigurationError, Connection, Network, NetworkConfig,
-                   NetworkSim, NeuronParams, SynapseParams, WeightParams,
-                   build_network, periodic_train, pulse_width, simulate)
+                   NetworkSim, NeuronParams, PulseTrain, SynapseParams,
+                   WeightParams, build_network, periodic_train, pulse_width,
+                   simulate)
+from tdsnn.network import Recorder, _external_level_arrays
 from tdsnn.measure import run_neuron
 from tdsnn.weight import N_CODES
 
@@ -407,3 +410,195 @@ def test_spike_charge_that_wraps_its_ring_ends_the_window(stepped_ks):
     for name in ("v", "sv", "sphase"):
         assert getattr(sim, name).tobytes() == getattr(oracle, name).tobytes(), name
     assert sim.k == oracle.k == 20
+
+
+def test_external_levels_match_the_step_levels_of_each_train():
+    # dt is a power of two, so the exact train's pulse ends fall on step
+    # times without rounding.
+    dt, n_steps, n = 2.0 ** -13, 400, 6
+    rng = np.random.default_rng(7)
+
+    def random_train():
+        widths = rng.uniform(0.2, 30.0, 30) * dt
+        gaps = np.where(rng.random(30) < 0.3, 0.0, rng.uniform(0.1, 40.0, 30) * dt)
+        rises = np.cumsum(np.concatenate(([rng.uniform(0.0, 5.0) * dt],
+                                          (widths + gaps)[:-1])))
+        return PulseTrain(rises, widths)  # 0 gaps: adjacent pulses
+
+    # adjacent pulses at step 10, an end exactly on step 14, a pulse that
+    # covers only the start of step 20, one between two step starts, and
+    # one past the last step
+    exact = PulseTrain(np.array([3.0, 10.0, 20.0, 30.25, 450.0]) * dt,
+                       np.array([7.0, 4.0, 0.5, 0.5, 9.0]) * dt)
+    assert exact.ends[1] == np.arange(n_steps)[14] * dt
+    inputs = {0: (random_train(), None), 1: (None, random_train()),
+              2: (random_train(), random_train()), 3: (exact, PulseTrain.empty()),
+              5: (None, exact)}
+    assert all(train.ends[-1] > n_steps * dt for pair in inputs.values()
+               for train in pair if train is not None and len(train))
+    exc, inh = _external_level_arrays(inputs, n, dt, n_steps)
+    for levels, side in ((exc, 0), (inh, 1)):
+        assert levels.dtype == bool and levels.shape == (n_steps, n)
+        for i in range(n):
+            train = inputs.get(i, (None, None))[side]
+            expected = train.step_levels(dt, n_steps) if train is not None \
+                else np.zeros(n_steps, dtype=bool)
+            assert levels[:, i].tobytes() == expected.tobytes(), (side, i)
+    assert exc[[9, 10, 13, 20], 3].all() and not exc[[14, 21, 30, 31], 3].any()
+    assert _external_level_arrays({0: (PulseTrain.empty(), None)}, n, dt,
+                                  n_steps) == (None, None)
+    for idx in (n, -1):
+        with pytest.raises(ConfigurationError, match="unknown neuron"):
+            _external_level_arrays({idx: (None, None)}, n, dt, n_steps)
+
+
+# ---------------------------------------------------------------------------
+# advance() sizes each window from the rings' state
+# ---------------------------------------------------------------------------
+
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """(rows asked for, steps committed, edge in the last step) per call of
+    NetworkSim.step with rows."""
+    calls = []
+    step = NetworkSim.step
+
+    def spy(self, ext_exc=None, ext_inh=None, rows=None):
+        fired = step(self, ext_exc, ext_inh, rows=rows)
+        if rows is not None:
+            calls.append((rows, len(fired), bool(self.edged.any())))
+        return fired
+
+    monkeypatch.setattr(NetworkSim, "step", spy)
+    return calls
+
+
+def assert_advance_matches_steps(make_sim, chunks):
+    """Advance one kernel through advance() calls of the given step counts
+    and another through as many single steps: the membranes and v_syn after
+    every step, the spikes and the final ring phases are equal bytes."""
+    oracle = make_sim()
+    n_steps = sum(chunks)
+    v, sv, fired = [oracle.v], [oracle.sv], []
+    for _ in range(n_steps):
+        fired.append(oracle.step())
+        v.append(oracle.v)
+        sv.append(oracle.sv)
+    sim = make_sim()
+    recorder = Recorder(sim, n_steps, 1)
+    for chunk in chunks:
+        sim.advance(chunk, recorder=recorder)
+    traces = recorder.traces(n_steps * sim.dt)
+    assert traces.v_mem.tobytes() == np.array(v).tobytes()
+    assert traces.v_syn.tobytes() == np.array(sv).tobytes()
+    steps, ids = np.nonzero(np.array(fired))
+    assert [s.tobytes() for s in traces.spikes] == \
+        [((steps[ids == i] + 1) * sim.dt).tobytes() for i in range(sim.n)]
+    assert sim.sphase.tobytes() == oracle.sphase.tobytes()
+    assert sim.k == oracle.k
+    return oracle
+
+
+@pytest.mark.parametrize("synapse, has_edges", [
+    (SynapseParams(), True),
+    # v_syn stays below the oscillation onset: the ring never has an edge
+    (SynapseParams(delta_up=0.01), False),
+], ids=["edges", "quiet"])
+def test_quiet_start_asks_for_the_longest_windows(synapse, has_edges, kernel_calls):
+    # A silent ring gives no bound, so a lone neuron without input needs
+    # about one kernel call per _max_rows steps; each ring edge splits a
+    # window. Sized from the last edge-free run instead, the windows grew
+    # from one row and made more calls.
+    cfg = NetworkConfig(n_neurons=1, synapse=synapse)
+    n_steps = int(round(0.1 / cfg.dt))
+    oracle = assert_advance_matches_steps(
+        lambda: NetworkSim(build_network(cfg)), [n_steps])
+    max_rows = oracle._max_rows
+    n_edges = sum(edged for _, _, edged in kernel_calls)
+    assert (n_edges > 0) == has_edges
+    assert kernel_calls[0] == (max_rows, max_rows, False)
+    assert len(kernel_calls) <= math.ceil(n_steps / max_rows) + 1 + n_edges
+
+
+def test_window_that_ends_before_a_decaying_ring_reaches_its_edge(kernel_calls):
+    # The ring's v_syn leaks with tau = 3 ms, so at the rate of its last
+    # step it would wrap after about 125 steps, but the falling frequency
+    # takes it much longer: the window sized from the bound uses up its
+    # rows without an edge, and later calls find the edge. The neuron is
+    # too slow to fire.
+    cfg = NetworkConfig(n_neurons=1, neuron=NeuronParams(r_base=10.0),
+                        synapse=SynapseParams(tau_leak=3e-3))
+
+    def make_sim():
+        sim = NetworkSim(build_network(cfg))
+        sim.sv[:] = 1.0
+        sim.sphase[:] = 0.75
+        return sim
+
+    oracle = assert_advance_matches_steps(make_sim, [1, 400])
+    assert oracle._max_rows > 200
+    # each call asks for floor(gap) + 2 rows, the gap taken from the
+    # phase the last committed step added
+    probe = make_sim()
+    probe.step()
+    expected_rows = []
+    for _ in range(2):
+        expected_rows.append(int((1.0 - probe.sphase[0]) / probe._inc[0]) + 2)
+        for _ in range(expected_rows[-1]):
+            probe.step()
+    single, first, second = kernel_calls[:3]
+    assert single == (1, 1, False)
+    assert first == (expected_rows[0], expected_rows[0], False)
+    assert 100 < expected_rows[0] < oracle._max_rows
+    assert second[0] == expected_rows[1] < expected_rows[0]
+    assert any(edged for _, _, edged in kernel_calls[2:])
+
+
+def test_carried_over_wrap_at_a_call_start_is_a_single_step(kernel_calls):
+    # The neuron fires in step 10 and only the charge's phase credit takes
+    # its ring past 1 (as in the test above), so the wrap carries over into
+    # step 11, the first step of the second advance() call.
+    cfg = NetworkConfig(n_neurons=1, synapse=SynapseParams(delta_up=1.0))
+    v0 = cfg.neuron.v_th - 10.5 * cfg.neuron.r_base * cfg.dt
+
+    def make_sim(v, phase):
+        sim = NetworkSim(build_network(cfg))
+        sim.v[:] = v
+        sim.sv[:] = 0.5
+        sim.sphase[:] = phase
+        return sim
+
+    def phase_after_11_steps(sim):
+        for _ in range(11):
+            sim.step()
+        return sim.sphase[0]
+
+    charged = phase_after_11_steps(make_sim(v0, 0.0))
+    uncharged = phase_after_11_steps(make_sim(0.0, 0.0))
+    phase0 = 1.0 - 0.5 * (charged + uncharged)
+    probe = make_sim(v0, phase0)
+    assert phase_after_11_steps(probe) >= 1.0 and not probe.edged[0]
+
+    assert_advance_matches_steps(lambda: make_sim(v0, phase0), [11, 9])
+    done = np.cumsum([steps for _, steps, _ in kernel_calls])
+    second = int(np.flatnonzero(done == 11)[0]) + 1
+    assert kernel_calls[second] == (1, 1, True)
+
+
+def test_ring_at_phase_one_without_frequency_wraps_next(kernel_calls):
+    # Ring 0 sits at phase exactly 1 with f = 0: its gap is 0/0, which must
+    # ask for a single step (it wraps in it) and must not reach int().
+    # Ring 1 oscillates, so its gap alone would allow a long window.
+    cfg = NetworkConfig(n_neurons=2)
+
+    def make_sim():
+        sim = NetworkSim(build_network(cfg))
+        sim.sv[:] = [0.0, 0.5]
+        sim.step()
+        sim.sphase[0] = 1.0
+        return sim
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert_advance_matches_steps(make_sim, [50])
+    assert kernel_calls[0] == (1, 1, True)
