@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -179,13 +180,36 @@ def cmd_reservoir_train(args) -> int:
     return 0
 
 
-def cmd_reservoir_eval(args) -> int:
+def _load_weights(path) -> tuple[np.ndarray, str]:
+    """The readout weights and the config text of a weights.json file."""
+    def invalid(reason):
+        return ConfigurationError(f"cannot load weights {path}: {reason}")
+
     try:
-        payload = json.loads(Path(args.weights).read_text())
-        w = np.asarray(payload["w"], dtype=float)
-        cfg = parse_config(payload["config"])
-    except (OSError, KeyError, json.JSONDecodeError) as exc:
-        raise ConfigurationError(f"cannot load weights {args.weights}: {exc}") from exc
+        payload = json.loads(Path(path).read_text())
+    except (OSError, ValueError) as exc:  # ValueError: not UTF-8 or not JSON
+        raise invalid(exc) from exc
+    if not isinstance(payload, dict):
+        raise invalid("top level must be a JSON object")
+    for key in ("w", "config"):
+        if key not in payload:
+            raise invalid(f"missing key {key!r}")
+    w = payload["w"]
+    try:
+        finite = isinstance(w, list) and all(
+            type(x) in (int, float) and math.isfinite(x) for x in w)
+    except OverflowError:  # an integer beyond the float range
+        finite = False
+    if not finite:
+        raise invalid("w must be a 1-D list of finite numbers")
+    if not isinstance(payload["config"], str):
+        raise invalid("config must be a string")
+    return np.array(w, dtype=float), payload["config"]
+
+
+def cmd_reservoir_eval(args) -> int:
+    w, config_text = _load_weights(args.weights)
+    cfg = parse_config(config_text)
     if len(w) != cfg.network.n_neurons:
         raise ConfigurationError(
             f"weights length {len(w)} does not match n_neurons "
@@ -203,7 +227,7 @@ def cmd_reservoir_eval(args) -> int:
     if args.out:
         write_s = _timed_write_traces(traces, args.out)
         summary = RunSummary(command="reservoir eval", seed=cfg.network.seed,
-                             metrics=metrics, config_echo=payload["config"],
+                             metrics=metrics, config_echo=config_text,
                              wall_clock_s=sw.elapsed, write_s=write_s)
         write_summary(summary, args.out)
     return 0

@@ -9,9 +9,11 @@ pulses at the instant the oscillator phase wraps, each pulse lasts its exact
 width, a neuron is driven by the fraction of the step its pulses cover, and
 a spike charges its synapse at the threshold crossing. The edges of a step
 depend only on the synapse state at the step's start, so the connections
-need no transport delay to break same-step causality cycles. Between two
-ring edges no neuron affects another, so runs compute the steps from one
-edge to the next as one window of array rows, bit-identical to stepping.
+need no transport delay to break same-step causality cycles. A ring edge
+is the only event by which one neuron affects another, so runs compute many
+steps as one window of array rows, every neuron on its own between the
+edges, and apply each edge's pulses as the window reaches its row,
+bit-identical to stepping.
 """
 
 from __future__ import annotations
@@ -180,34 +182,27 @@ class NetworkSim:
     inputs keep their level at the step start, and a ring wrap that a
     spike's charge causes late in the step is emitted at the next step start.
 
-    step(rows=...) and advance() commit many steps at once, bit-identical
-    to as many single steps. A ring edge is the only event that couples one
-    neuron to another, so between two edges every neuron and its synapse
-    evolve on their own: the edge-free steps before the next edge are
-    computed as one window of array rows, and only the edge step itself is
-    a single step. A window holds at most
-    floor(v_th / ((r_base + r_exc) * dt)) - 1 rows, so no neuron fires twice
-    inside it. advance() sizes each window from the rings' state. v_syn
-    only leaks between charges, so a ring's frequency only falls, and ring
-    j cannot reach its edge sooner than (1 - phase_j) / (f_j * dt) steps
-    from now, f_j * dt being the phase its last committed step added. A
-    window asks for two rows more than the least of these gaps; a ring
-    whose neuron fires gets faster, but the window's exact edge test then
-    ends the window at its edge. A silent ring gives no bound, and a ring
-    at or past phase 1 asks for a single step. A window costs about as
-    much as _MIN_WINDOW single steps, so below that many rows step() makes
-    one single step instead.
+    step(rows=...) and advance() commit many steps at once as one window of
+    array rows, bit-identical to as many single steps. The window first
+    folds every synapse as if no neuron fired, then walks the rows in step
+    order, each membrane row one array operation. A ring edge is the only
+    event that couples one neuron to another: at an edge's row the ring
+    starts its pulses, the inputs of all membranes are computed again from
+    that row to the next edge, and the ring's phase is folded again from
+    its wrap. A spike charges its synapse at once if its ring could still
+    reach phase 1 inside the window; the other spikes are applied at the
+    window's end, all in one block. A window holds fewer than
+    v_th / ((r_base + r_exc) * dt) rows, so no neuron fires twice in it,
+    fewer than 1 / (f_max * dt) - 1, so no ring wraps twice in it, and at
+    most _WINDOW_CELLS / N, so its planes stay in cache.
     """
 
-    # Measured on a 2-vCPU Xeon with NumPy 2.4, edge- and spike-free rows:
-    # a window of r rows takes about 28 + 2.8·r µs at N=100 and 45 + 15·r µs
-    # at N=1000, against 17 and 25 µs a single step, so it breaks even at 2
-    # and 5 rows. With windows sized from the rings' state, a request below
-    # the threshold means an edge is a few steps away. End to end (medians
-    # of 15 alternating runs), thresholds of 3, 4 and 6 rows gave 2.63,
-    # 2.70 and 2.63 s on train_force (N=100) and 0.89, 0.87 and 0.84 s on a
-    # driven N=1000 simulate.
-    _MIN_WINDOW = 6
+    # Cells (rows x neurons) of each window plane. Past about this many the
+    # planes fall out of a core's L2 cache: CPU time of a driven N=1000
+    # simulate (2-vCPU Xeon, medians of 4 alternating runs, two seeds) was
+    # 0.46 s with 165-row windows and 0.41 s with 65-row ones (2**16
+    # cells), against 0.44 s at 2**15 and 0.46 s at 2**17 cells.
+    _WINDOW_CELLS = 2 ** 16
 
     def __init__(self, network: Network, synapse_override: Optional[SynapseParams] = None):
         cfg = network.config
@@ -244,12 +239,20 @@ class NetworkSim:
         self._mid_decay = math.exp(-0.5 * self.dt / self.synapse.tau_leak)
 
         # A neuron restarts from v >= 0 after a spike and rises by at most
-        # (r_base + r_exc) * dt per step, so it cannot fire twice in this
-        # many steps; a window never holds more.
+        # (r_base + r_exc) * dt per step, so it cannot fire twice in fewer
+        # than v_th / ((r_base + r_exc) * dt) steps. A ring gains at most
+        # f_max * dt of phase per step and as much again from a spike's
+        # credit, and starts a window below phase 1 + f_max * dt (below 1
+        # unless its neuron just fired), so it cannot wrap twice in fewer
+        # than 1 / (f_max * dt) - 1 steps; 1e-9 covers rounding. A window
+        # never holds more rows than either bound, nor more than
+        # _WINDOW_CELLS / n.
         p = self.neuron
-        self._max_rows = max(math.floor(p.v_th / ((p.r_base + p.r_exc) * self.dt)) - 1, 1)
-        self._inc = np.zeros(self.n)  # phase each ring gained in the last step
-        self._win = np.empty((5, 2, self.n))  # window rows, grown on demand
+        self._phase_step = self.dt * self.synapse.f_max
+        self._max_rows = max(min(math.floor(p.v_th / ((p.r_base + p.r_exc) * self.dt)) - 1,
+                                 math.floor((1.0 - 1e-9) / self._phase_step) - 1,
+                                 self._WINDOW_CELLS // self.n), 1)
+        self._win = np.empty((6, 2, self.n))  # window rows, grown on demand
 
     @property
     def t(self) -> float:
@@ -269,28 +272,31 @@ class NetworkSim:
         start = np.repeat(offsets, counts)
         self._starts = (self._channel[conn], start, start + self._widths[conn])
 
-    def recurrent_levels(self) -> tuple[np.ndarray, np.ndarray]:
-        """Per-neuron fraction of the current step that the pulses of the
-        excitatory and of the inhibitory connections cover.
+    def recurrent_levels(self, k: Optional[int] = None) -> tuple[np.ndarray, np.ndarray]:
+        """Per-neuron fraction of step k (by default the current step) that
+        the pulses of the excitatory and of the inhibitory connections cover.
 
         The pulses on one input are OR-ed, so their union counts once.
         """
         dt = self.dt
-        t0 = self.k * dt
+        t0 = (self.k if k is None else k) * dt
         high = self._until - t0  # relative to the step start
         level = np.minimum(np.maximum(high, 0.0), dt)
         if self._starts is not None:
             channel, start, end = self._starts
             self._starts = None
             # Add the pulses of a channel in order of their start, each
-            # covering what the union so far leaves uncovered.
-            order = np.lexsort((start, channel))
-            channel, start, end = channel[order], start[order], end[order]
-            index = np.arange(len(channel))
-            first = np.concatenate(([True], channel[1:] != channel[:-1]))
-            rank = index - np.maximum.accumulate(np.where(first, index, 0))
-            for r in range(int(rank.max()) + 1):
-                sel = rank == r
+            # covering what the union so far leaves uncovered; one pass
+            # adds every channel's first pulse, the next its second.
+            passes = [slice(None)]
+            if np.bincount(channel).max() > 1:
+                order = np.lexsort((start, channel))
+                channel, start, end = channel[order], start[order], end[order]
+                index = np.arange(len(channel))
+                first = np.concatenate(([True], channel[1:] != channel[:-1]))
+                rank = index - np.maximum.accumulate(np.where(first, index, 0))
+                passes = [rank == r for r in range(int(rank.max()) + 1)]
+            for sel in passes:
                 c = channel[sel]
                 covered = high[c]
                 level[c] += np.maximum(
@@ -322,34 +328,25 @@ class NetworkSim:
     def step(self, ext_exc=None, ext_inh=None, rows: Optional[int] = None) -> np.ndarray:
         """Advance by dt; returns the fired mask for this step.
 
-        Given rows, advance instead by the steps up to and including the
-        next ring edge, at most rows of them: the edge-free steps as one
-        window, then the edge step. ext_exc and ext_inh then hold one row of
-        levels per step, the mask has one row per step committed, and
-        self._win[2] and self._win[0] hold the membranes and v_syn after
-        step r in row r + 1.
+        Given rows, advance instead by rows steps as one window, at most
+        self._max_rows of them. ext_exc and ext_inh then hold one row of
+        levels per step (a column per neuron or one for all), the mask has
+        one row per step, self.edged marks every ring that wrapped in the
+        window, and self._win[2] and self._win[0] hold the membranes and
+        v_syn after step r in row r + 1.
         """
         if rows is None:
             return self._step(ext_exc, ext_inh)
-        end, spikes = self._window(rows, ext_exc, ext_inh) \
-            if rows >= self._MIN_WINDOW else (0, None)
-        fired = np.zeros((end + (end < rows), self.n), dtype=bool)
-        if spikes is not None:
-            fired[spikes] = True
-        if end < rows:
-            fired[end] = self._step(*[None if e is None else e[end]
-                                      for e in (ext_exc, ext_inh)])
-            self._win[0, end + 1] = self.sv
-            self._win[2, end + 1] = self.v
-        return fired
+        if not 1 <= rows <= self._max_rows:
+            raise ValueError(f"rows must be in [1, {self._max_rows}], got {rows}")
+        return self._window(rows, ext_exc, ext_inh)
 
     def _step(self, ext_exc, ext_inh) -> np.ndarray:
         p = self.neuron
         s = self.synapse
         dt = self.dt
         f = osc_frequency(self.sv * self._mid_decay, s)
-        self._inc = f * dt
-        phase = self.sphase + self._inc
+        phase = self.sphase + f * dt
         edged = phase >= 1.0
         self.edged = edged
         if edged.any():
@@ -393,150 +390,193 @@ class NetworkSim:
         """
         ext = [e if e is None or np.ndim(e) == 2 else np.asarray(e)[:, None]
                for e in (ext_exc, ext_inh)]
-        done = 0
-        while done < n_steps:
-            with np.errstate(divide="ignore", invalid="ignore"):
-                gap = np.min((1.0 - self.sphase) / self._inc)
-            # A gap <= 0 is a wrap carried over from a spike, and NaN a ring
-            # at phase 1 with f = 0: both wrap in the next step.
-            rows = min(n_steps - done, self._max_rows,
-                       int(min(gap, self._max_rows)) + 2 if gap > 0 else 1)
+        for done in range(0, n_steps, self._max_rows):
+            rows = min(n_steps - done, self._max_rows)
             k = self.k
             fired = self.step(*[None if e is None else e[done:done + rows] for e in ext],
                               rows=rows)
-            steps = len(fired)
             if recorder is not None:
-                recorder.record(k, self._win[2, 1:steps + 1], self._win[0, 1:steps + 1],
+                recorder.record(k, self._win[2, 1:rows + 1], self._win[0, 1:rows + 1],
                                 fired)
-            done += steps
 
-    def _window(self, rows: int, ext_exc, ext_inh):
-        """Commit the steps before the next ring edge, at most rows of them.
+    def _window(self, rows: int, ext_exc, ext_inh) -> np.ndarray:
+        """Commit rows steps as one window; returns their fired mask.
 
-        Returns the number of steps committed and the (row, neuron) indices
-        of their spikes, or None. After the call, self._win holds per step
-        row r the states at its start (r) and end (r + 1): v_syn in [0], the
-        ring phase in [1] and the membrane in [2].
+        self._win holds per step row r the states at its start (r) and end
+        (r + 1): v_syn in [0], the ring phase in [1] and the membrane in
+        [2]; [3] and [4] the membrane rate and rise of step r, and [5] its
+        ring frequency. After the call, [0] and [2] stay valid.
         """
-        n, dt, p, s = self.n, self.dt, self.neuron, self.synapse
+        n, dt, s = self.n, self.dt, self.synapse
         if self._win.shape[1] <= rows:
             self._win = None  # free the old rows before the new ones are made
-            self._win = np.empty((5, rows + 1, n))
+            self._win = np.empty((6, rows + 1, n))
         sv, phase, v = self._win[:3, :rows + 1]
+        level = self._win[3:5, :rows]
+        rate, x = level
+        freq = self._win[5, :rows]
 
-        # Synapses without spikes: v_syn decays step by step, and the ring
-        # phase integrates the frequency at each step's midpoint, computed
-        # in the phase rows themselves. The first row whose phase reaches 1
-        # has an edge and ends the window.
+        # Synapses as if no neuron fired: v_syn decays step by step, and the
+        # ring phase integrates the frequency at each step's midpoint.
         sv[0] = self.sv
         sv[1:] = self._decay
         np.multiply.accumulate(sv, axis=0, out=sv)
+        np.multiply(sv[:-1], self._mid_decay, out=freq)
+        osc_frequency(freq, s, out=freq)
         phase[0] = self.sphase
-        f = np.multiply(sv[:-1], self._mid_decay, out=phase[1:])
-        osc_frequency(f, s, out=f)
-        f *= dt
+        np.multiply(freq, dt, out=phase[1:])
         np.add.accumulate(phase, axis=0, out=phase)
-        edges = np.flatnonzero((phase[1:] >= 1.0).any(axis=1))
-        end = int(edges[0]) if edges.size else rows
-        if end == 0:
-            return 0, None
+        # the row of each ring's next edge, rows for none in this window
+        edge_row = self._edge_rows(-1, rows, slice(None))
+        next_edge = int(edge_row.min())
 
-        # Membranes: no pulse starts before the edge, so each input level
-        # follows from the end time of its channel's pulses.
-        level = self._win[3:5, :end]
-        t0 = np.arange(self.k, self.k + end) * dt
-        np.subtract(self._until.reshape(2, 1, n), t0[:, None], out=level)
-        np.maximum(level, 0.0, out=level)
-        np.minimum(level, dt, out=level)
+        # The membranes are driven in stretches from one edge to the next,
+        # each under the pulses started before it.
+        t0 = np.arange(self.k, self.k + rows) * dt  # the steps' start times
+        falling = [False] * rows  # rows whose membrane may need the clamp
+
+        def drive(r, end, first=None):
+            self._drive(level[:, r:end], t0[r:end],
+                        [None if e is None else e[r:end] for e in (ext_exc, ext_inh)],
+                        first)
+            # v >= 0, so only a falling membrane can need the clamp
+            falling[r:end] = (x[r:end] < 0.0).any(axis=1).tolist()
+
+        drive(0, next_edge)
+        v[0] = self.v
+        v_th = self.neuron.v_th
+        reach = 1.0 - 1e-9 - (rows - np.arange(rows)) * self._phase_step
+        fired = np.zeros((rows, n), dtype=bool)
+        charged = np.zeros(n, dtype=bool)  # spikes applied in their own row
+        edged = np.zeros(n, dtype=bool)
+        for r in range(rows):
+            if r == next_edge:
+                # The rings start their pulses at their edge times and wrap;
+                # the membranes are driven again from this row on.
+                ids = np.flatnonzero(edge_row == r)
+                edged[ids] = True
+                self._start_pulses(ids, np.maximum(1.0 - phase[r, ids], 0.0)
+                                   / np.maximum(freq[r, ids], s.f_min))
+                first = self.recurrent_levels(self.k + r)
+                fold = np.empty((rows - r, len(ids)))
+                fold[0] = phase[r + 1, ids] - 1.0
+                np.multiply(freq[r + 1:, ids], dt, out=fold[1:])
+                phase[r + 1:, ids] = np.add.accumulate(fold, axis=0, out=fold)
+                edge_row[ids] = self._edge_rows(r, rows, ids)
+                next_edge = int(edge_row.min())
+                drive(r, next_edge, first)
+
+            row = v[r + 1]
+            np.add(v[r], x[r], out=row)
+            if falling[r]:
+                np.maximum(row, 0.0, out=row)
+            if np.maximum.reduce(row) >= v_th:
+                hit = np.greater_equal(row, v_th, out=fired[r])
+                np.subtract(row, v_th, out=row, where=hit)
+                # A ring gains at most f_max * dt of phase per row and from
+                # its credit. One that stays short of phase 1 by more takes
+                # its charge at the window's end: until then its rows lack
+                # the charge, which only speeds a ring, so they show no
+                # false edge. The others are charged now.
+                now = hit & (phase[r + 1] >= reach[r])
+                if now.any():
+                    ids = np.flatnonzero(now)
+                    charged[ids] = True
+                    self._refold(np.full(len(ids), r), ids, rows, rate)
+                    edge_row[ids] = self._edge_rows(r, rows, ids)
+                    next_edge = int(edge_row.min())
+
+        rs, cs = np.nonzero(fired)
+        late = ~charged[cs]
+        if late.any():
+            self._refold(rs[late], cs[late], rows, rate, at_end=True)
+
+        self.v = v[rows].copy()
+        self.sv = sv[rows].copy()
+        self.sphase = phase[rows].copy()
+        self.edged = edged
+        self.k += rows
+        return fired
+
+    def _edge_rows(self, r: int, end: int, cols) -> np.ndarray:
+        """The first window row after r in which each ring of cols reaches
+        phase 1, or end for none. The phase only grows along the rows after
+        r, so the rows below 1 are the rows before the edge."""
+        return r + 1 + (self._win[1][r + 2:end + 1, cols] < 1.0).sum(axis=0)
+
+    def _drive(self, level, t0, ext, first=None) -> None:
+        """Fill level, shape (2, rows, n), for the steps that start at the
+        times t0: the membranes' rate in level[0] and their rise over the
+        step in level[1].
+
+        Each input level follows from the end time of its channel's pulses;
+        first, if given, holds the excitatory and inhibitory levels of the
+        first step instead. ext holds the external levels of these steps.
+        """
+        dt, p = self.dt, self.neuron
+        np.subtract(self._until.reshape(2, 1, self.n), t0[:, None], out=level)
+        np.clip(level, 0.0, dt, out=level)
         np.divide(level, dt, out=level)
+        if first is not None:
+            level[0, 0], level[1, 0] = first
         rate, x = level
-        for lv, e in zip(level, (ext_exc, ext_inh)):
+        for lv, e in zip(level, ext):
             if e is not None:
-                np.maximum(lv, e[:end], out=lv)
+                np.maximum(lv, e, out=lv)
         np.multiply(rate, p.r_exc, out=rate)
         np.add(rate, p.r_base, out=rate)
         np.multiply(x, p.r_inh, out=x)
         np.subtract(rate, x, out=rate)
         np.multiply(rate, dt, out=x)
-        v[0] = self.v
-        v_th = p.v_th
-        # v >= 0, so only a row with a falling membrane can need the clamp
-        falling = (x < 0.0).any(axis=1).tolist()
-        spike_rows, spike_ids = [], []
-        for r in range(end):
-            row = v[r + 1]
-            np.add(v[r], x[r], out=row)
-            if falling[r]:
-                np.maximum(row, 0.0, out=row)
-            if row.max() >= v_th:
-                ids = np.flatnonzero(row >= v_th)
-                row[ids] -= v_th
-                spike_rows.append(np.full(len(ids), r))
-                spike_ids.append(ids)
 
-        spikes = None
-        if spike_ids:
-            rs = np.concatenate(spike_rows)
-            cs = np.concatenate(spike_ids)
-            end = self._refold(rs, cs, end, rate)
-            keep = rs < end
-            spikes = rs[keep], cs[keep]
-
-        self.v = v[end].copy()
-        self.sv = sv[end].copy()
-        self.sphase = phase[end].copy()
-        self._inc = phase[end] - phase[end - 1]
-        self.edged = np.zeros(n, dtype=bool)
-        self.k += end
-        return end, spikes
-
-    def _refold(self, rs, cs, end: int, rate) -> int:
+    def _refold(self, rs, cs, end: int, rate, at_end: bool = False) -> None:
         """Apply the spikes of neurons cs in window rows rs (ascending, one
-        per neuron) to their synapses, and return the window's new end.
+        per neuron) to their synapses, up to state row end.
 
         Each charged column is folded again from its spike on, in one block
         of state rows whose rows before a column's spike hold identity
         elements: 1.0 in the v_syn product and 0.0 in the phase sum; those
-        rows then take their old values back. A charge speeds its ring up,
-        so the column is checked again for an earlier edge. The blocks live
-        in the level planes of self._win, which the window no longer needs
-        once rate has been read.
+        rows then take their old values back. At the window's end the block
+        lives in the level planes, which the window no longer needs once
+        rate has been read, and only the last phase row is kept.
         """
         sv, phase, v = self._win[:3]
+        freq = self._win[5]
         charged, credit = self._charge(sv[rs + 1, cs], v[rs + 1, cs] / rate[rs, cs])
         spike_phase = phase[rs + 1, cs] + credit
         lo = int(rs[0]) + 1  # first state row that changes
         shape = (end + 1 - lo, len(cs))
+        blocks = self._win[3:5] if at_end else np.empty((2,) + shape)
         old, new = (plane.reshape(-1)[:shape[0] * shape[1]].reshape(shape)
-                    for plane in self._win[3:])
+                    for plane in blocks)
         rel = rs + 1 - lo    # the spike's state row in the block
         at = (rel, np.arange(len(cs)))
         after = np.arange(shape[0])[:, None] >= rel
 
         new[...] = 1.0
-        new[after] = self._decay
+        np.copyto(new, self._decay, where=after)
         new[at] = charged
         np.multiply.accumulate(new, axis=0, out=new)
         np.take(sv[lo:end + 1], cs, axis=1, out=old, mode="clip")
         np.copyto(old, new, where=after)
         sv[lo:end + 1, cs] = old
 
-        new[0] = 0.0
         f = np.multiply(old[:-1], self._mid_decay, out=new[1:])
         osc_frequency(f, self.synapse, out=f)
+        if not at_end:
+            np.take(freq[lo:end], cs, axis=1, out=old[:-1], mode="clip")
+            np.copyto(old[:-1], f, where=after[:-1])
+            freq[lo:end, cs] = old[:-1]
         f *= self.dt
-        new[~after] = 0.0
+        np.copyto(new, 0.0, where=~after)
         new[at] = spike_phase
         np.add.accumulate(new, axis=0, out=new)
-        # The spike's own row had no edge before the credit; a later row
-        # whose phase reaches 1 has one (rows before the spike hold 0).
-        late = new >= 1.0
-        late[at] = False
-        edges = np.flatnonzero(late.any(axis=1))
+        if at_end:
+            phase[end, cs] = new[-1]
+            return
         np.take(phase[lo:end + 1], cs, axis=1, out=old, mode="clip")
         np.copyto(old, new, where=after)
         phase[lo:end + 1, cs] = old
-        return min(end, lo + int(edges[0]) - 1) if edges.size else end
 
 
 class Recorder:
@@ -626,8 +666,8 @@ def simulate(network: Network, external_inputs=None, duration: float = 1.0) -> T
     external_inputs maps a neuron index to a pair (excitatory PulseTrain,
     inhibitory PulseTrain); either entry may be None. Trains extending past
     the duration are accepted, the excess is ignored. The run is one
-    NetworkSim.advance call, so it commits each edge-free stretch of steps
-    as one window and is bit-identical to stepping.
+    NetworkSim.advance call, which commits its steps in windows of array
+    rows and is bit-identical to stepping.
     """
     check_duration(duration)
     cfg = network.config

@@ -243,8 +243,9 @@ def train_force(network: Network, train_cfg: TrainConfig, fb: FeedbackParams,
 
     The feedback levels of each learn interval are computed before the
     interval, and its steps go through one NetworkSim.advance call, which
-    commits each edge-free stretch as one window; the result is
-    bit-identical to stepping with the feedback encoded step by step.
+    commits them as one window when the interval is short enough; the
+    result is bit-identical to stepping with the feedback encoded step by
+    step.
     """
     cfg = network.config
     dt = cfg.dt

@@ -92,3 +92,29 @@ def test_non_finite_config_value_exits_1(command, line, message, tmp_path, capsy
     argv = command + ["--config", str(config), "--out", str(tmp_path / "out")]
     assert main(argv) == 1
     assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+
+
+@pytest.mark.parametrize("text, reason", [
+    ("[1, 2]", "top level must be a JSON object"),
+    ('{"w": [0.5], "config": 5}', "config must be a string"),
+    ('{"w": [NaN], "config": ""}', "w must be a 1-D list of finite numbers"),
+    ('{"w": [[0.5]], "config": ""}', "w must be a 1-D list of finite numbers"),
+    ('{"w": [1' + "0" * 400 + '], "config": ""}',
+     "w must be a 1-D list of finite numbers"),
+    ('{"w": [0.5]}', "missing key 'config'"),
+])
+def test_malformed_weights_exit_1(text, reason, tmp_path, capsys):
+    weights = tmp_path / "weights.json"
+    weights.write_text(text)
+    assert main(["reservoir", "eval", "--weights", str(weights)]) == 1
+    assert capsys.readouterr().err.splitlines() == \
+        [f"error: cannot load weights {weights}: {reason}"]
+
+
+def test_truncated_weights_exit_1(tmp_path, capsys):
+    weights = tmp_path / "weights.json"
+    text = json.dumps({"w": [0.5], "config": serialize_config(SimulationConfig())})
+    weights.write_text(text[:len(text) // 2])
+    assert main(["reservoir", "eval", "--weights", str(weights)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: cannot load weights {weights}: ")

@@ -2,7 +2,8 @@ import re
 
 import pytest
 
-from tdsnn import ConfigurationError
+from tdsnn import (ConfigurationError, Connection, NetworkConfig,
+                   TrainConfig)
 from tdsnn.config import SimulationConfig, parse_config, serialize_config
 
 
@@ -26,4 +27,13 @@ def test_non_finite_number_is_rejected_with_its_key(section, key, value):
 
 def test_finite_numbers_still_round_trip():
     cfg = SimulationConfig()
+    assert parse_config(serialize_config(cfg)) == cfg
+
+
+def test_config_with_connections_round_trips():
+    cfg = SimulationConfig(
+        network=NetworkConfig(n_neurons=3, connections=[
+            Connection(0, 1, "exc", 0), Connection(1, 2, "inh", 15),
+            Connection(2, 0, "exc", 15), Connection(0, 2, "inh", 0)]),
+        train=TrainConfig(frequency_range=(22.5, 180.0), learn_interval=2.5e-4))
     assert parse_config(serialize_config(cfg)) == cfg

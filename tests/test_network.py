@@ -10,6 +10,7 @@ from tdsnn import (ConfigurationError, Connection, Network, NetworkConfig,
                    simulate)
 from tdsnn.network import Recorder, _external_level_arrays
 from tdsnn.measure import run_neuron
+from tdsnn.synapse import osc_frequency
 from tdsnn.weight import N_CODES
 
 
@@ -302,14 +303,17 @@ def test_simulate_matches_step_loop_with_inhibition_and_window_ends(stepped_ks):
     assert_same_traces(simulate(net, inputs, duration), expected)
 
     n_steps = len(expected["v"])
-    in_window = ~np.isin(np.arange(n_steps), stepped_ks)
-    next_stepped = np.isin(np.arange(n_steps) + 1, stepped_ks)
-    assert in_window.sum() > n_steps // 2
-    assert not (expected["edged"].any(axis=1) & in_window).any()
-    # a membrane clamped at 0 inside a window
-    assert ((expected["v"] == 0.0).any(axis=1) & in_window).any()
-    # a spike on the last row of a window that an edge step ends
-    assert (expected["fired"].any(axis=1) & in_window & next_stepped).any()
+    assert stepped_ks == []  # every step is a window row
+    max_rows = NetworkSim(net)._max_rows
+    row = np.arange(n_steps) % max_rows  # each step's row in its window
+    edged = expected["edged"].any(axis=1)
+    fired = expected["fired"].any(axis=1)
+    # a membrane clamped at 0
+    assert (expected["v"] == 0.0).any()
+    # an edge and a spike fall inside one window, the spike after the edge
+    assert any(edged[k - row[k]:k].any() for k in np.flatnonzero(fired))
+    # an edge on a window's last row
+    assert (edged & (row == max_rows - 1)).any()
 
 
 @pytest.mark.parametrize("cfg", [
@@ -344,7 +348,7 @@ def test_simulate_matches_step_loop_at_the_fastest_firing_rate(stepped_ks):
     assert len(stepped_ks) < len(expected["v"]) // 2
 
 
-def test_advance_wraps_a_phase_of_exactly_one(stepped_ks):
+def test_advance_wraps_a_phase_of_exactly_one(kernel_calls):
     # With f_max * dt = 2**-9 and v_syn held above saturation, the ring
     # phase is a sum of exact binary fractions and reaches exactly 1.0.
     cfg = NetworkConfig(n_neurons=1, dt=2.0 ** -17,
@@ -362,19 +366,22 @@ def test_advance_wraps_a_phase_of_exactly_one(stepped_ks):
         if oracle.edged[0] and oracle.sphase[0] == 0.0:
             exactly_one.append(k)
     assert exactly_one
-    stepped_ks.clear()
     sim = start()
     sim.advance(1200)
-    assert all(k in stepped_ks and k - 1 not in stepped_ks for k in exactly_one)
+    # every exact wrap falls inside a window, not on its first row
+    max_rows = sim._max_rows
+    assert [rows for rows, _, _ in kernel_calls] == \
+        [max_rows] * (1200 // max_rows) + [1200 % max_rows]
+    assert all(k % max_rows for k in exactly_one)
     for name in ("v", "sv", "sphase"):
         assert getattr(sim, name).tobytes() == getattr(oracle, name).tobytes(), name
 
 
-def test_spike_charge_that_wraps_its_ring_ends_the_window(stepped_ks):
+def test_spike_charge_that_wraps_its_ring_wraps_it_in_the_window(kernel_calls):
     # A lone neuron fires in step 10, half a step after its crossing. Its
     # ring phase is placed so that it stays below 1 in that step and only
     # the phase credit of the charge takes it past 1, so the wrap is
-    # emitted at the start of step 11.
+    # emitted at the start of step 11, in the middle of the window.
     cfg = NetworkConfig(n_neurons=1, synapse=SynapseParams(delta_up=1.0))
     v_th, r_base, dt = cfg.neuron.v_th, cfg.neuron.r_base, cfg.dt
 
@@ -403,10 +410,9 @@ def test_spike_charge_that_wraps_its_ring_ends_the_window(stepped_ks):
     for _ in range(9):
         oracle.step()
 
-    stepped_ks.clear()
     sim = start(v0, phase0)
     sim.advance(20)
-    assert 10 not in stepped_ks and 11 in stepped_ks
+    assert kernel_calls == [(20, 20, True)]
     for name in ("v", "sv", "sphase"):
         assert getattr(sim, name).tobytes() == getattr(oracle, name).tobytes(), name
     assert sim.k == oracle.k == 20
@@ -453,7 +459,7 @@ def test_external_levels_match_the_step_levels_of_each_train():
 
 
 # ---------------------------------------------------------------------------
-# advance() sizes each window from the rings' state
+# advance() commits windows that run to their row bound through ring edges
 # ---------------------------------------------------------------------------
 
 @pytest.fixture
@@ -499,16 +505,26 @@ def assert_advance_matches_steps(make_sim, chunks):
     return oracle
 
 
+def step_events(make_sim, n_steps):
+    """The (step, ring) of every ring edge and the (step, neuron) of every
+    spike of a plain step loop."""
+    sim = make_sim()
+    edges, spikes = [], []
+    for k in range(n_steps):
+        fired = sim.step()
+        edges += [(k, int(i)) for i in np.flatnonzero(sim.edged)]
+        spikes += [(k, int(i)) for i in np.flatnonzero(fired)]
+    return edges, spikes
+
+
 @pytest.mark.parametrize("synapse, has_edges", [
     (SynapseParams(), True),
     # v_syn stays below the oscillation onset: the ring never has an edge
     (SynapseParams(delta_up=0.01), False),
 ], ids=["edges", "quiet"])
 def test_quiet_start_asks_for_the_longest_windows(synapse, has_edges, kernel_calls):
-    # A silent ring gives no bound, so a lone neuron without input needs
-    # about one kernel call per _max_rows steps; each ring edge splits a
-    # window. Sized from the last edge-free run instead, the windows grew
-    # from one row and made more calls.
+    # A lone neuron without input needs one kernel call per _max_rows
+    # steps; its ring edges fall inside the windows.
     cfg = NetworkConfig(n_neurons=1, synapse=synapse)
     n_steps = int(round(0.1 / cfg.dt))
     oracle = assert_advance_matches_steps(
@@ -521,10 +537,9 @@ def test_quiet_start_asks_for_the_longest_windows(synapse, has_edges, kernel_cal
 
 
 def test_window_that_ends_before_a_decaying_ring_reaches_its_edge(kernel_calls):
-    # The ring's v_syn leaks with tau = 3 ms, so at the rate of its last
-    # step it would wrap after about 125 steps, but the falling frequency
-    # takes it much longer: the window sized from the bound uses up its
-    # rows without an edge, and later calls find the edge. The neuron is
+    # The ring's v_syn leaks with tau = 3 ms, so its frequency falls and it
+    # wraps in step 173. The first windows end before that edge and
+    # carry the ring's phase into the window that holds it. The neuron is
     # too slow to fire.
     cfg = NetworkConfig(n_neurons=1, neuron=NeuronParams(r_base=10.0),
                         synapse=SynapseParams(tau_leak=3e-3))
@@ -535,26 +550,17 @@ def test_window_that_ends_before_a_decaying_ring_reaches_its_edge(kernel_calls):
         sim.sphase[:] = 0.75
         return sim
 
-    oracle = assert_advance_matches_steps(make_sim, [1, 400])
-    assert oracle._max_rows > 200
-    # each call asks for floor(gap) + 2 rows, the gap taken from the
-    # phase the last committed step added
-    probe = make_sim()
-    probe.step()
-    expected_rows = []
-    for _ in range(2):
-        expected_rows.append(int((1.0 - probe.sphase[0]) / probe._inc[0]) + 2)
-        for _ in range(expected_rows[-1]):
-            probe.step()
-    single, first, second = kernel_calls[:3]
-    assert single == (1, 1, False)
-    assert first == (expected_rows[0], expected_rows[0], False)
-    assert 100 < expected_rows[0] < oracle._max_rows
-    assert second[0] == expected_rows[1] < expected_rows[0]
-    assert any(edged for _, _, edged in kernel_calls[2:])
+    edges, spikes = step_events(make_sim, 401)
+    assert [k for k, _ in edges] == [173] and spikes == []
+    oracle = assert_advance_matches_steps(make_sim, [1, 100, 300])
+    max_rows = oracle._max_rows
+    # each call asks for the steps left, at most max_rows of them
+    assert kernel_calls == [(1, 1, False), (100, 100, False),
+                            (max_rows, max_rows, True),
+                            (300 - max_rows, 300 - max_rows, False)]
 
 
-def test_carried_over_wrap_at_a_call_start_is_a_single_step(kernel_calls):
+def test_carried_over_wrap_at_a_call_start_wraps_in_its_first_row(kernel_calls):
     # The neuron fires in step 10 and only the charge's phase credit takes
     # its ring past 1 (as in the test above), so the wrap carries over into
     # step 11, the first step of the second advance() call.
@@ -578,17 +584,16 @@ def test_carried_over_wrap_at_a_call_start_is_a_single_step(kernel_calls):
     phase0 = 1.0 - 0.5 * (charged + uncharged)
     probe = make_sim(v0, phase0)
     assert phase_after_11_steps(probe) >= 1.0 and not probe.edged[0]
+    assert step_events(lambda: make_sim(v0, phase0), 20)[0] == [(11, 0)]
 
     assert_advance_matches_steps(lambda: make_sim(v0, phase0), [11, 9])
-    done = np.cumsum([steps for _, steps, _ in kernel_calls])
-    second = int(np.flatnonzero(done == 11)[0]) + 1
-    assert kernel_calls[second] == (1, 1, True)
+    assert kernel_calls == [(11, 11, False), (9, 9, True)]
 
 
 def test_ring_at_phase_one_without_frequency_wraps_next(kernel_calls):
-    # Ring 0 sits at phase exactly 1 with f = 0: its gap is 0/0, which must
-    # ask for a single step (it wraps in it) and must not reach int().
-    # Ring 1 oscillates, so its gap alone would allow a long window.
+    # Ring 0 sits at phase exactly 1 with f = 0: it wraps in the window's
+    # first row with a pulse offset of 0 / f_min, and no division by its
+    # f = 0 may warn. Ring 1 oscillates.
     cfg = NetworkConfig(n_neurons=2)
 
     def make_sim():
@@ -601,4 +606,154 @@ def test_ring_at_phase_one_without_frequency_wraps_next(kernel_calls):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert_advance_matches_steps(make_sim, [50])
-    assert kernel_calls[0] == (1, 1, True)
+    assert kernel_calls == [(50, 50, True)]
+    assert step_events(make_sim, 50)[0] == [(0, 0)]
+
+
+# ---------------------------------------------------------------------------
+# the events inside a window, each against a plain step loop
+# ---------------------------------------------------------------------------
+
+def test_edge_pulse_makes_its_target_fire_later_in_the_window(kernel_calls):
+    # Ring 0 wraps in step 5 and starts an 800-us excitatory pulse (code 15)
+    # on neuron 1, which then fires inside the same window; at its base
+    # rate alone it would fire only after 200 steps.
+    cfg = NetworkConfig(n_neurons=2, connections=[Connection(0, 1, "exc", 15)])
+    p, dt = cfg.neuron, cfg.dt
+
+    def make_sim():
+        sim = NetworkSim(build_network(cfg))
+        sim.v[:] = [0.0, p.v_th - 200 * p.r_base * dt]
+        sim.sv[:] = [1.0, 0.0]
+        sim.sphase[:] = [1.0 - 5.5 * cfg.synapse.f_max * dt, 0.0]
+        return sim
+
+    rows = make_sim()._max_rows
+    edges, spikes = step_events(make_sim, rows)
+    assert edges == [(5, 0)]
+    assert len(spikes) == 1 and spikes[0][1] == 1 and 5 < spikes[0][0] < rows
+    assert_advance_matches_steps(make_sim, [rows])
+    assert kernel_calls == [(rows, rows, True)]
+
+
+def test_rings_that_wrap_in_one_row_add_their_pulses_in_start_order(monkeypatch,
+                                                                      kernel_calls):
+    # Rings 0 and 1 wrap in step 40 of the window, a half and a quarter of
+    # the way in; their 200-us (code 3) and 50-us (code 0) pulses overlap on
+    # neuron 2's excitatory input, whose union covers 0.75 of the step: the
+    # later ring's pulse is added first, and the overlap counts once.
+    cfg = NetworkConfig(n_neurons=3, connections=[Connection(0, 2, "exc", 3),
+                                                  Connection(1, 2, "exc", 0)])
+    dt = cfg.dt
+
+    def make_sim():
+        sim = NetworkSim(build_network(cfg))
+        sim.sv[:2] = 1.0
+        for _ in range(40):  # the phase the rings gain before step 40
+            sim.step()
+        gain = sim.sphase[:2].copy()
+        inc = osc_frequency(sim.sv[:2] * math.exp(-0.5 * dt / cfg.synapse.tau_leak),
+                            cfg.synapse) * dt
+        sim = NetworkSim(build_network(cfg))
+        sim.sv[:2] = 1.0
+        sim.sphase[:2] = 1.0 - gain - np.array([0.5, 0.25]) * inc
+        return sim
+
+    # neuron 2's excitatory level per step: single steps ask for the
+    # current step, a window for the step of its edge row
+    stepped, windowed = {}, {}
+    delivered = NetworkSim.recurrent_levels
+
+    def spy(self, k=None):
+        exc, inh = delivered(self, k)
+        (stepped if k is None else windowed)[self.k if k is None else k] = exc[2]
+        return exc, inh
+
+    monkeypatch.setattr(NetworkSim, "recurrent_levels", spy)
+    assert step_events(make_sim, 60)[0] == [(40, 0), (40, 1)]
+    assert_advance_matches_steps(make_sim, [60])
+    assert kernel_calls == [(60, 60, True)]
+    assert list(windowed) == [40]
+    assert windowed[40].tobytes() == stepped[40].tobytes()
+    assert stepped[40] == pytest.approx(0.75, abs=1e-3)
+
+
+def test_spike_charge_brings_its_ring_wrap_into_the_window(kernel_calls):
+    # Ring 0 is silent (v_syn = 0) until its neuron fires in step 10, 0.9
+    # of a step after its crossing; the charge (delta_up = 1) runs it at
+    # nearly f_max from there. Its phase is placed so that it wraps in the
+    # window's last row: the charge must be applied at once, and the bound
+    # that decides it must cover every row to the window's end.
+    cfg = NetworkConfig(n_neurons=1,
+                        synapse=SynapseParams(delta_up=1.0, tau_leak=10.0))
+    p, dt = cfg.neuron, cfg.dt
+
+    def make_sim(phase):
+        sim = NetworkSim(build_network(cfg))
+        sim.v[:] = p.v_th - 10.1 * p.r_base * dt
+        sim.sphase[:] = phase
+        return sim
+
+    rows = make_sim(0.0)._max_rows
+    probe = make_sim(0.0)
+    gains = []
+    for _ in range(rows):
+        probe.step()
+        gains.append(probe.sphase[0])
+    phase0 = 1.0 - 0.5 * (gains[-1] + gains[-2])
+    assert step_events(lambda: make_sim(phase0), rows) == ([(rows - 1, 0)], [(10, 0)])
+    assert_advance_matches_steps(lambda: make_sim(phase0), [rows])
+    assert kernel_calls == [(rows, rows, True)]
+
+
+def test_spike_far_from_its_edge_is_charged_at_the_window_end(monkeypatch,
+                                                              kernel_calls):
+    # Neuron 0 fires in step 10 with its ring at phase 0.1, which cannot
+    # reach 1 in the window: its charge waits for the window's end, after
+    # ring 1 wraps in step 60 and pulses neuron 0's input.
+    cfg = NetworkConfig(n_neurons=2, connections=[Connection(1, 0, "exc", 5)])
+    p, dt = cfg.neuron, cfg.dt
+
+    def make_sim():
+        sim = NetworkSim(build_network(cfg))
+        sim.v[:] = [p.v_th - 10.5 * p.r_base * dt, 0.0]
+        sim.sv[:] = [0.5, 1.0]
+        sim.sphase[:] = [0.1, 1.0 - 60.5 * cfg.synapse.f_max * dt]
+        return sim
+
+    rows = make_sim()._max_rows
+    assert step_events(make_sim, rows) == ([(60, 1)], [(10, 0)])
+    assert_advance_matches_steps(make_sim, [rows])
+    assert kernel_calls == [(rows, rows, True)]
+
+    order = []  # the window's edge levels and charges, in call order
+
+    def spy(name):
+        method = getattr(NetworkSim, name)
+
+        def call(self, *args, **kwargs):
+            order.append(name)
+            return method(self, *args, **kwargs)
+
+        monkeypatch.setattr(NetworkSim, name, call)
+
+    spy("_refold")
+    spy("recurrent_levels")
+    make_sim().advance(rows)
+    assert order == ["recurrent_levels", "_refold"]
+
+
+def test_ring_bound_sizes_the_windows_at_a_coarse_step(kernel_calls):
+    # At dt * f_max = 0.3 a ring can wrap every fourth step, so a window
+    # holds at most floor(1 / 0.3) - 1 = 2 rows, far below the neuron
+    # bound; edges and spikes still fall inside the windows.
+    cfg = NetworkConfig(n_neurons=20, connection_probability=0.2, seed=1,
+                        synapse=SynapseParams(f_max=0.3 / 1e-5))
+    net = build_network(cfg)
+    expected = stepped_run(net, None, 0.05)
+    assert_same_traces(simulate(net, None, 0.05), expected)
+    assert NetworkSim(net)._max_rows == 2
+    assert {rows for rows, _, _ in kernel_calls} == {2}
+    edged = expected["edged"].any(axis=1)
+    fired = expected["fired"].any(axis=1)
+    assert (edged[1::2] & fired[1::2]).any() and (edged[::2] & fired[::2]).any()
