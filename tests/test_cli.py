@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -118,3 +119,21 @@ def test_truncated_weights_exit_1(tmp_path, capsys):
     assert main(["reservoir", "eval", "--weights", str(weights)]) == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith(f"error: cannot load weights {weights}: ")
+
+
+@pytest.mark.parametrize("text, lineno", [
+    ("[network]\nseed = 1\nseed = 2\n", 3),  # duplicate key
+    ("[network]\nseed = 1\n\n[network]\ndt = 1e-5\n", 4),  # duplicate section
+    ("seed = 1\n[network]\n", 1),  # key before any section
+    ('[reservoir]\ntarget_kind = "sine\n', 2),  # unterminated string
+    ("[reservoir]\nfrequency_range = [15.0, 200.0 train_periods = 5\n", 2),
+    ("[network]\nseed = 3 garbage\n", 2),
+], ids=["duplicate-key", "duplicate-section", "key-before-section",
+        "unterminated-string", "unterminated-array", "trailing-garbage"])
+def test_config_syntax_error_exits_1_with_its_line(text, lineno, tmp_path, capsys):
+    config = tmp_path / "run.toml"
+    config.write_text(text)
+    assert main(["network", "run", "--config", str(config)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert re.search(rf"\bline {lineno}\b", err[0]), err[0]

@@ -1,10 +1,20 @@
 import re
+from pathlib import Path
 
 import pytest
 
 from tdsnn import (ConfigurationError, Connection, NetworkConfig,
                    TrainConfig)
 from tdsnn.config import SimulationConfig, parse_config, serialize_config
+
+DATA = Path(__file__).parent / "data" / "config"
+
+CONNECTIONS_CONFIG = SimulationConfig(
+    network=NetworkConfig(n_neurons=3, connections=[
+        Connection(0, 1, "exc", 0), Connection(1, 2, "inh", 15),
+        Connection(2, 0, "exc", 15), Connection(0, 2, "inh", 0)]),
+    train=TrainConfig(frequency_range=(22.5, 180.0), learn_interval=2.5e-4,
+                      teacher_forcing=False))
 
 
 @pytest.mark.parametrize("section, key, value", [
@@ -37,3 +47,14 @@ def test_config_with_connections_round_trips():
             Connection(2, 0, "exc", 15), Connection(0, 2, "inh", 0)]),
         train=TrainConfig(frequency_range=(22.5, 180.0), learn_interval=2.5e-4))
     assert parse_config(serialize_config(cfg)) == cfg
+
+
+@pytest.mark.parametrize("name, cfg", [
+    ("default.toml", SimulationConfig()),
+    ("connections.toml", CONNECTIONS_CONFIG),
+])
+def test_serialized_config_matches_its_golden_bytes(name, cfg):
+    # weights.json and summary.json embed this text, so its bytes are pinned.
+    golden = (DATA / name).read_bytes()
+    assert serialize_config(cfg).encode() == golden
+    assert parse_config(golden.decode()) == cfg
