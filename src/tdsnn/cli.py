@@ -17,7 +17,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import SimulationConfig, parse_config, serialize_config
+from .config import (SimulationConfig, coerce_number, parse_config,
+                     parse_sections, section_lines, serialize_config)
 from .errors import CalibrationError, ConfigurationError
 from .measure import (ANCHOR_TOLERANCES, PAPER_ANCHORS, calibrate,
                       run_synapse, weighted_drive)
@@ -236,8 +237,6 @@ def cmd_reservoir_eval(args) -> int:
 def _load_anchors(spec: str) -> dict:
     if spec == "paper":
         return dict(PAPER_ANCHORS)
-    from .config import parse_sections
-
     try:
         text = Path(spec).read_text()
     except OSError as exc:
@@ -249,7 +248,11 @@ def _load_anchors(spec: str) -> dict:
     unknown = set(anchors) - set(PAPER_ANCHORS)
     if unknown:
         raise ConfigurationError(f"unknown anchor(s): {', '.join(sorted(unknown))}")
-    return {k: float(v) for k, v in anchors.items()}
+    for key, value in anchors.items():
+        anchors[key] = coerce_number("anchors", key, value)
+        if anchors[key] <= 0:
+            raise ConfigurationError(f"[anchors] {key} must be positive")
+    return anchors
 
 
 def cmd_calibrate(args) -> int:
@@ -262,16 +265,8 @@ def cmd_calibrate(args) -> int:
               f"tolerance +-{100 * ANCHOR_TOLERANCES[key]:.0f}%)")
     print(f"calibration done in {sw.elapsed:.1f} s")
     if args.out:
-        lines = ["# fitted parameters", "[neuron]"]
-        from dataclasses import fields
-
-        for f in fields(result.neuron):
-            lines.append(f"{f.name} = {getattr(result.neuron, f.name)!r}")
-        lines.append("")
-        lines.append("[synapse]")
-        for f in fields(result.synapse):
-            lines.append(f"{f.name} = {getattr(result.synapse, f.name)!r}")
-        lines.append("")
+        lines = ["# fitted parameters", *section_lines("neuron", result.neuron), "",
+                 *section_lines("synapse", result.synapse), ""]
         for key in sorted(result.residuals):
             lines.append(f"# residual {key}: {100 * result.residuals[key]:+.2f}%")
         Path(args.out).write_text("\n".join(lines) + "\n")

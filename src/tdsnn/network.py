@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import ConfigurationError
 from .neuron import NeuronParams
-from .synapse import SynapseParams, check_duration, osc_frequency
+from .synapse import SynapseParams, check_dt, check_duration, osc_frequency
 from .weight import WeightParams, N_CODES, pulse_width
 
 POLARITIES = ("exc", "inh")
@@ -66,15 +66,10 @@ class NetworkConfig:
             raise ConfigurationError("excitatory_fraction must be in [0, 1]")
         if not 0 <= self.code_min <= self.code_max < N_CODES:
             raise ConfigurationError("need 0 <= code_min <= code_max <= 15")
-        if self.dt <= 0:
-            raise ConfigurationError("dt must be positive")
+        check_dt(self.synapse, self.dt)
         if self.dt > self.neuron.spike_width:
             raise ConfigurationError(
                 "dt must not exceed the neuron spike width (spikes would be skipped)")
-        if self.dt * self.synapse.f_max >= 0.5:
-            raise ConfigurationError(
-                f"dt={self.dt:g} undersamples the fastest oscillator "
-                f"(dt*f_max = {self.dt * self.synapse.f_max:g} >= 0.5)")
         if self.sample_interval < self.dt:
             raise ConfigurationError("sample_interval must be >= dt")
 
@@ -211,10 +206,7 @@ class NetworkSim:
         self.dt = cfg.dt
         self.neuron = cfg.neuron
         self.synapse = synapse_override if synapse_override is not None else cfg.synapse
-        if self.dt * self.synapse.f_max >= 0.5:
-            raise ConfigurationError(
-                f"dt={self.dt:g} undersamples the oscillator "
-                f"(dt*f_max = {self.dt * self.synapse.f_max:g} >= 0.5)")
+        check_dt(self.synapse, self.dt)
 
         self.v = np.zeros(self.n)
         self.sv = np.zeros(self.n)

@@ -79,7 +79,7 @@ def osc_frequency(v_syn, params: SynapseParams, out=None):
 def check_dt(params: SynapseParams, dt: float) -> None:
     """Reject a step that is not positive or undersamples the ring."""
     if not dt > 0:
-        raise ValueError("dt must be positive")
+        raise ConfigurationError("dt must be positive")
     if dt * params.f_max >= 0.5:
         raise ConfigurationError(
             f"dt={dt:g} undersamples the oscillator (need dt*f_max < 0.5, "

@@ -3,8 +3,9 @@ import re
 
 import pytest
 
+from tdsnn import cli
 from tdsnn.cli import main
-from tdsnn.config import SimulationConfig, serialize_config
+from tdsnn.config import SimulationConfig, parse_config, serialize_config
 
 TRACE_FILES = ("spikes.csv", "membrane.csv", "synapse.csv", "output.csv",
                "summary.json")
@@ -137,3 +138,48 @@ def test_config_syntax_error_exits_1_with_its_line(text, lineno, tmp_path, capsy
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")
     assert re.search(rf"\bline {lineno}\b", err[0]), err[0]
+
+
+@pytest.mark.parametrize("line, message", [
+    ("connections = 5",
+     "[network] connections must be a list of [pre, post, polarity, code]"),
+    ('connections = [[0, 1, "exc", true]]',
+     "[network] connections[0] must be [int, int, string, int]"),
+])
+def test_malformed_connections_exit_1(line, message, tmp_path, capsys):
+    config = tmp_path / "run.toml"
+    config.write_text(f"[network]\nn_neurons = 2\n{line}\n")
+    assert main(["network", "run", "--config", str(config)]) == 1
+    assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+
+
+@pytest.mark.parametrize("line, message", [
+    ("free_run_hz = nan", "[anchors] free_run_hz must be finite"),
+    ('free_run_hz = "200"', "[anchors] free_run_hz must be a number"),
+    ("free_run_hz = -200.0", "[anchors] free_run_hz must be positive"),
+    ("syn_free_hz = inf", "[anchors] syn_free_hz must be finite"),
+])
+def test_bad_anchor_exits_1(line, message, tmp_path, capsys):
+    targets = tmp_path / "anchors.toml"
+    targets.write_text(f"[anchors]\n{line}\n")
+    assert main(["calibrate", "--targets", str(targets)]) == 1
+    assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+
+
+def test_calibrate_out_file_parses_to_the_fitted_parameters(tmp_path, monkeypatch):
+    fitted = {}
+
+    def calibrate(anchors):
+        fitted["result"] = result = real_calibrate(anchors)
+        return result
+
+    real_calibrate = cli.calibrate
+    monkeypatch.setattr(cli, "calibrate", calibrate)
+    out = tmp_path / "fitted.toml"
+    assert main(["calibrate", "--out", str(out)]) == 0
+    text = out.read_text()
+    assert text.startswith("# fitted parameters\n[neuron]\n")
+    assert "# residual free_run_hz: " in text
+    cfg = parse_config(text)
+    assert cfg.network.neuron == fitted["result"].neuron
+    assert cfg.network.synapse == fitted["result"].synapse

@@ -261,6 +261,14 @@ def test_untrained_random_readout_is_worse():
     assert rand > trained
 
 
+def test_train_force_rejects_a_frequency_range_that_undersamples_the_ring():
+    # dt * f_max = 1e-5 * 6e4 = 0.6: the network's own synapse is fine, so
+    # only the override of the frequency range undersamples.
+    net, tcfg, fb = _small_setup(frequency_range=(15.0, 6e4))
+    with pytest.raises(ConfigurationError, match="undersamples the oscillator"):
+        train_force(net, tcfg, fb)
+
+
 def test_target_spec_validation():
     with pytest.raises(ConfigurationError):
         TargetSpec(kind="square")
