@@ -245,6 +245,8 @@ def _load_anchors(spec: str) -> dict:
     if set(sections) != {"anchors"}:
         raise ConfigurationError("anchors file must contain one [anchors] section")
     anchors = sections["anchors"]
+    if not anchors:
+        raise ConfigurationError("[anchors] section is empty: give at least one anchor")
     unknown = set(anchors) - set(PAPER_ANCHORS)
     if unknown:
         raise ConfigurationError(f"unknown anchor(s): {', '.join(sorted(unknown))}")

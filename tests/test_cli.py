@@ -166,6 +166,16 @@ def test_bad_anchor_exits_1(line, message, tmp_path, capsys):
     assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
 
 
+def test_empty_anchors_section_exits_1_and_writes_nothing(tmp_path, capsys):
+    targets = tmp_path / "anchors.toml"
+    targets.write_text("[anchors]\n")
+    out = tmp_path / "fitted.toml"
+    assert main(["calibrate", "--targets", str(targets), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "error: [anchors] section is empty: give at least one anchor"]
+    assert not out.exists()
+
+
 def test_calibrate_out_file_parses_to_the_fitted_parameters(tmp_path, monkeypatch):
     fitted = {}
 

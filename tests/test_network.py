@@ -479,6 +479,27 @@ def kernel_calls(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def window_events(monkeypatch):
+    """What the windows do, in call order: "plan" (every edge of a window),
+    "re-plan [rings]" (rings whose charge moved or made their edge),
+    "charge" (spikes charged in their own row) and "charge at end"."""
+    events = []
+    plan, refold = NetworkSim._plan, NetworkSim._refold
+
+    def spy_plan(self, *args, rings=None):
+        events.append("plan" if rings is None else f"re-plan {rings.tolist()}")
+        return plan(self, *args, rings=rings)
+
+    def spy_refold(self, *args, at_end=False):
+        events.append("charge at end" if at_end else "charge")
+        return refold(self, *args, at_end=at_end)
+
+    monkeypatch.setattr(NetworkSim, "_plan", spy_plan)
+    monkeypatch.setattr(NetworkSim, "_refold", spy_refold)
+    return events
+
+
 def assert_advance_matches_steps(make_sim, chunks):
     """Advance one kernel through advance() calls of the given step counts
     and another through as many single steps: the membranes and v_syn after
@@ -659,22 +680,34 @@ def test_rings_that_wrap_in_one_row_add_their_pulses_in_start_order(monkeypatch,
         sim.sphase[:2] = 1.0 - gain - np.array([0.5, 0.25]) * inc
         return sim
 
-    # neuron 2's excitatory level per step: single steps ask for the
-    # current step, a window for the step of its edge row
-    stepped, windowed = {}, {}
+    # neuron 2's excitatory level per step in single steps
+    stepped = {}
     delivered = NetworkSim.recurrent_levels
 
     def spy(self, k=None):
         exc, inh = delivered(self, k)
-        (stepped if k is None else windowed)[self.k if k is None else k] = exc[2]
+        stepped[self.k] = exc[2]
         return exc, inh
 
     monkeypatch.setattr(NetworkSim, "recurrent_levels", spy)
     assert step_events(make_sim, 60)[0] == [(40, 0), (40, 1)]
     assert_advance_matches_steps(make_sim, [60])
     assert kernel_calls == [(60, 60, True)]
-    assert list(windowed) == [40]
-    assert windowed[40].tobytes() == stepped[40].tobytes()
+
+    # the window's plan: one union, on neuron 2's excitatory input in row 40
+    unions = []
+    found = NetworkSim._unions
+
+    def spy_unions(self, *args):
+        channel, row, covered, after = found(self, *args)
+        unions.append((channel.tolist(), row.tolist(), covered / self.dt))
+        return channel, row, covered, after
+
+    monkeypatch.setattr(NetworkSim, "_unions", spy_unions)
+    make_sim().advance(60)
+    [(channels, rows, level)] = unions
+    assert (channels, rows) == ([2], [40])
+    assert level.tobytes() == stepped[40].tobytes()
     assert stepped[40] == pytest.approx(0.75, abs=1e-3)
 
 
@@ -706,8 +739,8 @@ def test_spike_charge_brings_its_ring_wrap_into_the_window(kernel_calls):
     assert kernel_calls == [(rows, rows, True)]
 
 
-def test_spike_far_from_its_edge_is_charged_at_the_window_end(monkeypatch,
-                                                              kernel_calls):
+def test_spike_far_from_its_edge_is_charged_at_the_window_end(kernel_calls,
+                                                              window_events):
     # Neuron 0 fires in step 10 with its ring at phase 0.1, which cannot
     # reach 1 in the window: its charge waits for the window's end, after
     # ring 1 wraps in step 60 and pulses neuron 0's input.
@@ -725,22 +758,7 @@ def test_spike_far_from_its_edge_is_charged_at_the_window_end(monkeypatch,
     assert step_events(make_sim, rows) == ([(60, 1)], [(10, 0)])
     assert_advance_matches_steps(make_sim, [rows])
     assert kernel_calls == [(rows, rows, True)]
-
-    order = []  # the window's edge levels and charges, in call order
-
-    def spy(name):
-        method = getattr(NetworkSim, name)
-
-        def call(self, *args, **kwargs):
-            order.append(name)
-            return method(self, *args, **kwargs)
-
-        monkeypatch.setattr(NetworkSim, name, call)
-
-    spy("_refold")
-    spy("recurrent_levels")
-    make_sim().advance(rows)
-    assert order == ["recurrent_levels", "_refold"]
+    assert window_events == ["plan", "charge at end"]
 
 
 def test_ring_bound_sizes_the_windows_at_a_coarse_step(kernel_calls):
@@ -757,3 +775,120 @@ def test_ring_bound_sizes_the_windows_at_a_coarse_step(kernel_calls):
     edged = expected["edged"].any(axis=1)
     fired = expected["fired"].any(axis=1)
     assert (edged[1::2] & fired[1::2]).any() and (edged[::2] & fired[::2]).any()
+
+
+# ---------------------------------------------------------------------------
+# the window's plan: every edge at once, re-planned when a charge moves one
+# ---------------------------------------------------------------------------
+
+def test_charge_moves_a_planned_edge_onto_a_channel_another_edge_drives(
+        kernel_calls, window_events):
+    # Ring 0 would wrap in step 71 of the window. Its neuron fires in step
+    # 10, and the charge (delta_up = 1) moves the wrap to step 36. Ring 1
+    # runs at f_max (v_syn above saturation) and wraps half way into step
+    # 31; its 50-us pulse on neuron 2's excitatory input still covers half
+    # of step 36, where ring 0's moved 200-us pulse starts on that input.
+    cfg = NetworkConfig(n_neurons=3, connections=[Connection(0, 2, "exc", 3),
+                                                  Connection(1, 2, "exc", 0)],
+                        synapse=SynapseParams(delta_up=1.0))
+    p, dt = cfg.neuron, cfg.dt
+
+    def make_sim(v0):
+        sim = NetworkSim(build_network(cfg))
+        sim.v[:] = [v0, 0.0, p.v_th - 150 * p.r_base * dt]
+        sim.sv[:] = [0.5, 2.0, 0.0]
+        sim.sphase[:] = [0.94, 1.0 - 31.5 * cfg.synapse.f_max * dt, 0.0]
+        return sim
+
+    v0 = p.v_th - 10.5 * p.r_base * dt
+    rows = make_sim(v0)._max_rows
+    assert step_events(lambda: make_sim(0.0), rows)[0] == [(31, 1), (71, 0)]
+    edges, spikes = step_events(lambda: make_sim(v0), rows)
+    assert edges == [(31, 1), (36, 0)] and spikes[0] == (10, 0)
+    assert any(i == 2 for _, i in spikes)
+    assert_advance_matches_steps(lambda: make_sim(v0), [rows])
+    assert kernel_calls == [(rows, rows, True)]
+    # neuron 2's spike in the window waits for its end
+    assert window_events == ["plan", "charge", "re-plan [0]", "charge at end"]
+
+
+def test_edges_in_two_rows_chain_their_union_on_one_channel(kernel_calls,
+                                                            window_events):
+    # Rings 0 and 1 run at f_max and wrap in steps 20 and 50, three
+    # quarters and a quarter of the way in. Ring 0's 300-us pulse (code 5)
+    # on neuron 2's excitatory input covers step 50 up to three quarters;
+    # ring 1's 800-us pulse (code 15) starts there earlier in its step than
+    # ring 0's did in its own. The unions follow in row order, each from
+    # the end of the one before, not in order of the pulses' starts.
+    cfg = NetworkConfig(n_neurons=3, connections=[Connection(0, 2, "exc", 5),
+                                                  Connection(1, 2, "exc", 15)])
+    p, dt = cfg.neuron, cfg.dt
+    inc = cfg.synapse.f_max * dt
+
+    def make_sim():
+        sim = NetworkSim(build_network(cfg))
+        sim.v[:] = [0.0, 0.0, p.v_th - 120 * p.r_base * dt]
+        sim.sv[:] = [2.0, 2.0, 0.0]
+        sim.sphase[:] = [1.0 - 20.75 * inc, 1.0 - 50.25 * inc, 0.0]
+        return sim
+
+    rows = make_sim()._max_rows
+    edges, spikes = step_events(make_sim, rows)
+    assert edges == [(20, 0), (50, 1)] and [i for _, i in spikes] == [2]
+    assert_advance_matches_steps(make_sim, [rows])
+    assert kernel_calls == [(rows, rows, True)]
+    assert window_events == ["plan", "charge at end"]
+
+
+def test_charge_moves_an_edge_into_the_windows_last_row(kernel_calls, window_events):
+    # As in test_spike_charge_brings_its_ring_wrap_into_the_window, ring 0
+    # is silent until its neuron fires in step 10, and the charge makes it
+    # wrap in the window's last row. Its 800-us pulse on neuron 1 starts
+    # there and carries on into the next window.
+    cfg = NetworkConfig(n_neurons=2, connections=[Connection(0, 1, "exc", 15)],
+                        synapse=SynapseParams(delta_up=1.0, tau_leak=10.0))
+    p, dt = cfg.neuron, cfg.dt
+
+    def make_sim(phase):
+        sim = NetworkSim(build_network(cfg))
+        sim.v[:] = [p.v_th - 10.1 * p.r_base * dt, p.v_th - 170 * p.r_base * dt]
+        sim.sphase[:] = [phase, 0.0]
+        return sim
+
+    rows = make_sim(0.0)._max_rows
+    probe = make_sim(0.0)
+    gains = []
+    for _ in range(rows):
+        probe.step()
+        gains.append(probe.sphase[0])
+    phase0 = 1.0 - 0.5 * (gains[-1] + gains[-2])
+    edges, spikes = step_events(lambda: make_sim(phase0), rows + 60)
+    assert edges == [(rows - 1, 0)] and spikes[0] == (10, 0)
+    assert any(i == 1 and k >= rows for k, i in spikes)
+    assert_advance_matches_steps(lambda: make_sim(phase0), [rows, 60])
+    assert kernel_calls == [(rows, rows, True), (60, 60, False)]
+    # neuron 1 fires in the second window, charged at its end
+    assert window_events == ["plan", "charge", "re-plan [0]", "plan", "charge at end"]
+
+
+def test_charge_whose_ring_stays_silent_waits_for_the_window_end(kernel_calls,
+                                                                 window_events):
+    # Ring 0 sits at phase 0.9 without v_syn: f_max could take it past 1
+    # in the window, but the charge of its spike in step 10 (delta_up =
+    # 0.08) leaves v_syn below the oscillation onset, so its own frequency
+    # stays 0 and the charge waits for the window's end.
+    cfg = NetworkConfig(n_neurons=2, connections=[Connection(0, 1, "exc", 15)])
+    p, dt = cfg.neuron, cfg.dt
+
+    def make_sim():
+        sim = NetworkSim(build_network(cfg))
+        sim.v[:] = [p.v_th - 10.5 * p.r_base * dt, 0.0]
+        sim.sphase[:] = [0.9, 0.0]
+        return sim
+
+    rows = make_sim()._max_rows
+    assert 0.9 + rows * cfg.synapse.f_max * dt > 1.0
+    assert step_events(make_sim, rows) == ([], [(10, 0)])
+    assert_advance_matches_steps(make_sim, [rows])
+    assert kernel_calls == [(rows, rows, False)]
+    assert window_events == ["plan", "charge at end"]
