@@ -474,7 +474,7 @@ class NetworkSim:
         if len(edged):
             self._wrap(edged, edge_row[edged], offset, rows)
         t0 = np.arange(self.k, self.k + rows) * dt  # the steps' start times
-        ext = (ext_exc, ext_inh)
+        ext = [e if e is None else np.asarray(e) for e in (ext_exc, ext_inh)]
         _, until = self._plan(edge_row, offset, t0, ext)
         falling = (x < 0.0).any(axis=1).tolist()  # rows that may need the clamp
 

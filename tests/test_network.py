@@ -892,3 +892,16 @@ def test_charge_whose_ring_stays_silent_waits_for_the_window_end(kernel_calls,
     assert_advance_matches_steps(make_sim, [rows])
     assert kernel_calls == [(rows, rows, False)]
     assert window_events == ["plan", "charge at end"]
+
+
+def test_advance_takes_external_levels_as_nested_lists():
+    # One row of levels per step and a column per neuron, as lists: the
+    # windows read them like arrays, bit-identical to stepping.
+    net = build_network(NetworkConfig(n_neurons=3, connection_probability=0.5, seed=1))
+    ext = (np.arange(300)[:, None] % 7 < 3) & np.array([True, False, True])
+    sim, oracle = NetworkSim(net), NetworkSim(net)
+    sim.advance(300, ext.tolist(), ext[:, ::-1].tolist())
+    for k in range(300):
+        oracle.step(ext[k], ext[k, ::-1])
+    for name in ("v", "sv", "sphase"):
+        assert getattr(sim, name).tobytes() == getattr(oracle, name).tobytes(), name
