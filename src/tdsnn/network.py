@@ -608,7 +608,8 @@ class NetworkSim:
         lv[...] = self._until.reshape(2, 1, n)[..., cols]
         # A channel with unions holds its until from the window's start up
         # to its first union's row, then each union's up to the next one's
-        # row: one column per channel, pieced together in channel order.
+        # row: one column per channel, pieced together in channel order, a
+        # plane at a time so that the columns take at most one plane.
         head = np.ones(len(c), dtype=bool)  # a channel's first union
         np.not_equal(c[1:], c[:-1], out=head[1:])
         piece = np.arange(len(c)) + np.cumsum(head)  # a union's piece
@@ -621,7 +622,11 @@ class NetworkSim:
         begin = np.empty_like(stop)
         begin[1:] = stop[:-1]
         begin[piece[head] - 1] = lo
-        lv[plane[head], :, col[head]] = np.repeat(value, stop - begin).reshape(-1, rows - lo)
+        inh = int(np.searchsorted(c, n))  # the first union of an inhibitory input
+        cut = int(piece[inh]) - 1 if inh < len(c) else len(value)
+        for side, pieces in enumerate((slice(cut), slice(cut, None))):
+            lv[side, :, col[head & (plane == side)]] = np.repeat(
+                value[pieces], (stop - begin)[pieces]).reshape(-1, rows - lo)
         np.subtract(lv, t0[lo:, None], out=lv)
         np.clip(lv, 0.0, dt, out=lv)
         np.divide(lv, dt, out=lv)
