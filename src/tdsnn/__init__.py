@@ -16,8 +16,8 @@ from .weight import WeightParams, pulse_width, shape_pulses
 from .network import (Connection, Network, NetworkConfig, NetworkSim, TraceSet,
                       build_network, simulate)
 from .reservoir import (FeedbackParams, RlsState, TargetSpec, TrainConfig,
-                        encode_feedback, evaluate, normalized_state,
-                        pulse_train_from_rate, readout, rls_update, train_force)
+                        encode_feedback, evaluate, normalized_state, readout,
+                        rls_update, train_force)
 from .measure import (CalibrationResult, PAPER_ANCHORS, calibrate, firing_rate,
                       run_chain, run_neuron, run_synapse, weighted_drive)
 from .config import SimulationConfig, parse_config, serialize_config
@@ -35,8 +35,8 @@ __all__ = [
     "Connection", "Network", "NetworkConfig", "NetworkSim", "TraceSet",
     "build_network", "simulate",
     "FeedbackParams", "RlsState", "TargetSpec", "TrainConfig",
-    "encode_feedback", "evaluate", "normalized_state", "pulse_train_from_rate",
-    "readout", "rls_update", "train_force",
+    "encode_feedback", "evaluate", "normalized_state", "readout", "rls_update",
+    "train_force",
     "CalibrationResult", "PAPER_ANCHORS", "calibrate", "firing_rate",
     "run_chain", "run_neuron", "run_synapse", "weighted_drive",
     "SimulationConfig", "parse_config", "serialize_config",

@@ -14,7 +14,7 @@ is the only event by which one neuron affects another, so runs compute many
 steps as one window of array rows, bit-identical to stepping: each window
 first plans all of its edges and the inputs they give every row, then the
 membranes walk the rows on their own, and a spike whose charge moves its
-ring's edge plans that ring's targets again.
+ring's edge ends the window after its step.
 """
 
 from __future__ import annotations
@@ -187,14 +187,14 @@ class NetworkSim:
     start there, the unions of the pulses on each input chain from row to
     row, and the inputs of every row follow in one pass. The rows are then
     walked in step order, each membrane row one array operation. A spike
-    charges its synapse at once if its ring, whose frequency only falls
-    after the charge, could still reach phase 1 inside the window; that
-    makes the ring's edge or moves it earlier, and the inputs of the
-    neurons its pulses reach are planned again. The other spikes are
-    applied at the window's end, all in one block. A window holds fewer than
-    v_th / ((r_base + r_exc) * dt) rows, so no neuron fires twice in it,
-    fewer than 1 / (f_max * dt) - 1, so no ring wraps twice in it, and at
-    most _WINDOW_CELLS / N, so its planes stay in cache.
+    whose ring could still reach phase 1 inside the window after its charge
+    (the ring's frequency only falls after it) could make or move that
+    ring's edge, so the window ends after its step and the next window
+    plans from there; no plan is ever redone. The spikes of the committed
+    steps are charged at the window's end, all in one block. A window holds
+    fewer than v_th / ((r_base + r_exc) * dt) rows, so no neuron fires
+    twice in it, fewer than 1 / (f_max * dt) - 1, so no ring wraps twice
+    in it, and at most _WINDOW_CELLS / N, so its planes stay in cache.
     """
 
     # Cells (rows x neurons) of each window plane. Past about this many the
@@ -347,12 +347,14 @@ class NetworkSim:
     def step(self, ext_exc=None, ext_inh=None, rows: Optional[int] = None) -> np.ndarray:
         """Advance by dt; returns the fired mask for this step.
 
-        Given rows, advance instead by rows steps as one window, at most
-        self._max_rows of them. ext_exc and ext_inh then hold one row of
-        levels per step (a column per neuron or one for all), the mask has
-        one row per step, self.edged marks every ring that wrapped in the
-        window, and self._win[2] and self._win[0] hold the membranes and
-        v_syn after step r in row r + 1.
+        Given rows, advance instead by up to rows steps as one window, at
+        most self._max_rows of them; the window ends early after a step
+        whose spike's charge could move its ring's edge. ext_exc and ext_inh
+        then hold one row of levels per step asked for (a column per neuron
+        or one for all), the mask has one row per committed step,
+        self.edged marks every ring that wrapped in them, and self._win[2]
+        and self._win[0] hold the membranes and v_syn after step r in row
+        r + 1.
         """
         if rows is None:
             return self._step(ext_exc, ext_inh)
@@ -410,17 +412,19 @@ class NetworkSim:
         """
         ext = [e if e is None or np.ndim(e) == 2 else np.asarray(e)[:, None]
                for e in (ext_exc, ext_inh)]
-        for done in range(0, n_steps, self._max_rows):
+        done = 0
+        while done < n_steps:
             rows = min(n_steps - done, self._max_rows)
             k = self.k
             fired = self.step(*[None if e is None else e[done:done + rows] for e in ext],
                               rows=rows)
+            done += len(fired)
             if recorder is not None:
-                recorder.record(k, self._win[2, 1:rows + 1], self._win[0, 1:rows + 1],
-                                fired)
+                recorder.record(k, self._win[2, 1:len(fired) + 1],
+                                self._win[0, 1:len(fired) + 1], fired)
 
     def _window(self, rows: int, ext_exc, ext_inh) -> np.ndarray:
-        """Commit rows steps as one window; returns their fired mask.
+        """Commit up to rows steps as one window; returns their fired mask.
 
         self._win holds per step row r the states at its start (r) and end
         (r + 1): v_syn in [0], the ring phase in [1] and the membrane in
@@ -430,8 +434,10 @@ class NetworkSim:
         The fold fills [0], [1] and [5] as if no neuron fired; the plan
         finds every edge in [1], wraps its ring and fills [3] and [4] under
         all of the window's pulses. The row loop then only adds each rise,
-        clamps and checks the threshold; a charge that makes or moves an
-        edge wraps that ring again and plans the neurons it reaches.
+        clamps and checks the threshold. A spike whose charge could bring
+        its ring's edge into the window, or move it earlier, ends the
+        window after its row; the spikes of the committed rows are charged
+        at the end, all in one block.
         """
         n, dt, s = self.n, self.dt, self.synapse
         if self._win.shape[1] <= rows:
@@ -467,22 +473,23 @@ class NetworkSim:
             phase[:, live] = p
 
         # The plan: each ring's edge row (rows for none), its wrap and its
-        # pulses, and the membrane inputs of every row under them.
-        edge_row = self._edge_rows(-1, rows, slice(None))
+        # pulses, and the membrane inputs of every row under them. Before
+        # its edge a ring's phase only grows, so the state rows below 1 are
+        # the rows before the edge.
+        edge_row = (phase[1:] < 1.0).sum(axis=0)
         offset = np.zeros(n)  # each edge's time into its step
         edged = np.flatnonzero(edge_row < rows)
         if len(edged):
             self._wrap(edged, edge_row[edged], offset, rows)
         t0 = np.arange(self.k, self.k + rows) * dt  # the steps' start times
         ext = [e if e is None else np.asarray(e) for e in (ext_exc, ext_inh)]
-        _, until = self._plan(edge_row, offset, t0, ext)
+        channel, union_row, until = self._plan(edge_row, offset, t0, ext)
         falling = (x < 0.0).any(axis=1).tolist()  # rows that may need the clamp
 
         v[0] = self.v
         v_th = self.neuron.v_th
         reach = 1.0 - 1e-9 - (rows - np.arange(rows)) * self._phase_step
         fired = np.zeros((rows, n), dtype=bool)
-        charged = np.zeros(n, dtype=bool)  # spikes applied in their own row
         # the rows as views made once, the loop's three calls bound once
         vs, xs = list(v), list(x)
         add, clamp, peak = np.add, np.maximum, np.maximum.reduce
@@ -500,88 +507,69 @@ class NetworkSim:
             # per row and from its credit; after the charge its frequency
             # only falls. One that cannot reach phase 1 by the window's end
             # takes its charge there: until then its rows lack the charge,
-            # which only speeds a ring, so they show no false edge.
+            # which only speeds a ring, so they show no false edge. One
+            # that can ends the window after this row.
             near = hit & (phase[r + 1] >= reach[r])
             if not near.any():
                 continue
             ids = np.flatnonzero(near)
             sv_end, credit = self._charge(sv[r + 1, ids], row[ids] / rate[r, ids])
-            start = phase[r + 1, ids] + credit
             f_next = osc_frequency(sv_end * self._mid_decay, s)
-            now = start + (rows - 1 - r) * dt * f_next >= 1.0 - 1e-9
-            if not now.any():
-                continue
-            ids = ids[now]
-            charged[ids] = True
-            self._refold(np.full(len(ids), r), ids, rows, sv_end[now], start[now])
-            # A ring charged before its edge wraps and pulses anew.
-            new = self._edge_rows(r, rows, ids)
-            ids, new = ids[new < rows], new[new < rows]
-            if len(ids):
-                edge_row[ids] = new
-                self._wrap(ids, new, offset, rows)
-                cols, ends = self._plan(edge_row, offset, t0, ext, rings=ids)
-                until[:, cols] = ends
-                falling[r + 1:] = (x[r + 1:] < 0.0).any(axis=1).tolist()
+            if (phase[r + 1, ids] + credit + (rows - 1 - r) * dt * f_next
+                    >= 1.0 - 1e-9).any():
+                rows = r + 1
+                break
 
+        fired = fired[:rows]
         rs, cs = np.nonzero(fired)
-        late = ~charged[cs]
-        if late.any():
-            rs, cs = rs[late], cs[late]
+        if len(rs):
             sv_end, credit = self._charge(sv[rs + 1, cs], v[rs + 1, cs] / rate[rs, cs])
-            self._refold(rs, cs, rows, sv_end, phase[rs + 1, cs] + credit, at_end=True)
+            self._refold(rs, cs, rows, sv_end, phase[rs + 1, cs] + credit)
 
+        # Each channel leaves with the until of its last union in the
+        # committed rows; the unions follow by channel, then by row.
+        kept = union_row < rows
+        last = kept.copy()
+        last[:-1] &= (channel[1:] != channel[:-1]) | ~kept[1:]
+        self._until[channel[last]] = until[last]
         self.v = v[rows].copy()
         self.sv = sv[rows].copy()
         self.sphase = phase[rows].copy()
-        self._until = until.reshape(-1)
         self.edged = edge_row < rows
         self.k += rows
         return fired
 
-    def _edge_rows(self, r: int, end: int, cols) -> np.ndarray:
-        """The first window row after r in which each ring of cols reaches
-        phase 1, or end for none. The phase only grows along the rows after
-        r, so the rows below 1 are the rows before the edge."""
-        return r + 1 + (self._win[1][r + 2:end + 1, cols] < 1.0).sum(axis=0)
-
     def _wrap(self, ids, edge_row, offset, end: int) -> None:
         """Wrap the rings ids in their edge rows: set offset[ids], the time
-        into the step at which each reaches phase 1, and fold its phase
-        again from there on, 1 lower."""
+        into the step at which each reaches phase 1, and sum its phase
+        again from the next state row on, 1 lower, up to state row end:
+        each row adds its step's frequency times dt.
+
+        The block's rows before a column's restart hold 0.0, the identity
+        of the sum, and then take their old values back.
+        """
         phase, freq = self._win[1], self._win[5]
         # a wrap carried over from a spike late in the last step starts at 0
         offset[ids] = (np.maximum(1.0 - phase[edge_row, ids], 0.0)
                        / np.maximum(freq[edge_row, ids], self.synapse.f_min))
-        self._resum(edge_row + 1, ids, phase[edge_row + 1, ids] - 1.0, end)
-
-    def _resum(self, q, cs, first, end: int) -> None:
-        """Sum the ring phase of columns cs again from state row q (one per
-        column), where it is first, up to state row end: each row adds its
-        step's frequency times dt.
-
-        The block's rows before a column's q hold 0.0, the identity of the
-        sum, and then take their old values back.
-        """
-        phase = self._win[1]
+        q = edge_row + 1  # the restart's state row
         lo = int(q.min())
-        block = np.multiply(self._win[5][lo - 1:end, cs], self.dt)
+        block = np.multiply(freq[lo - 1:end, ids], self.dt)
         rel = q - lo  # the restart's row in the block
         after = np.arange(len(block))[:, None] >= rel
         np.copyto(block, 0.0, where=~after)
-        block[rel, np.arange(len(cs))] = first
+        block[rel, np.arange(len(ids))] = phase[q, ids] - 1.0
         np.add.accumulate(block, axis=0, out=block)
-        old = phase[lo:end + 1, cs]
+        old = phase[lo:end + 1, ids]
         np.copyto(old, block, where=after)
-        phase[lo:end + 1, cs] = old
+        phase[lo:end + 1, ids] = old
 
-    def _plan(self, edge_row, offset, t0, ext, rings=None):
+    def _plan(self, edge_row, offset, t0, ext):
         """Fill the membranes' rate and rise (self._win[3:5]) in the window
         rows that start at the times t0, under the pulses of every ring edge
-        in edge_row: for all neurons, or for those that the pulses of rings
-        reach, from the first edge of rings on. Returns those neurons and
-        the until of their excitatory and inhibitory channels at the
-        window's end, shape (2, neurons).
+        in edge_row. Returns the unions of the pulses that start on each
+        channel in each row, by channel and then by row: per union its
+        channel, its row and the channel's until after it.
 
         Each input level follows from the end time of its channel's pulses
         and, in the rows where pulses start, from their union; ext holds the
@@ -591,21 +579,11 @@ class NetworkSim:
         rows = len(t0)
         ids = np.flatnonzero(edge_row < rows)
         channel, start, end, row = self._start_pulses(ids, offset[ids], edge_row[ids])
-        cols, lo = slice(None), 0
-        if rings is not None:
-            lo = int(edge_row[rings].min())
-            cols = np.unique(self._start_pulses(rings, offset[rings], edge_row[rings])[0] % n)
-            keep = np.zeros(n, dtype=bool)
-            keep[cols] = True
-            keep = keep[channel % n]
-            channel, start, end, row = channel[keep], start[keep], end[keep], row[keep]
-        until = self._until.copy()
-        c, r, covered, after = self._unions(channel, row, start, end, t0, until)
+        c, r, covered, after = self._unions(channel, row, start, end, t0,
+                                            self._until.copy())
         plane, col = np.divmod(c, n)
-        if rings is not None:
-            col = np.searchsorted(cols, col)
-        lv = self._win[3:5, lo:rows, cols]
-        lv[...] = self._until.reshape(2, 1, n)[..., cols]
+        lv = self._win[3:5, :rows]
+        lv[...] = self._until.reshape(2, 1, n)
         # A channel with unions holds its until from the window's start up
         # to its first union's row, then each union's up to the next one's
         # row: one column per channel, pieced together in channel order, a
@@ -618,53 +596,47 @@ class NetworkSim:
         value[piece], value[piece[head] - 1] = after, self._until[c[head]]
         stop[piece[:-1]] = np.where(head[1:], rows, r[1:] + 1)
         stop[piece[head] - 1] = r[head] + 1
-        np.maximum(stop, lo, out=stop)
         begin = np.empty_like(stop)
         begin[1:] = stop[:-1]
-        begin[piece[head] - 1] = lo
+        begin[piece[head] - 1] = 0
         inh = int(np.searchsorted(c, n))  # the first union of an inhibitory input
-        cut = int(piece[inh]) - 1 if inh < len(c) else len(value)
-        for side, pieces in enumerate((slice(cut), slice(cut, None))):
+        split = int(piece[inh]) - 1 if inh < len(c) else len(value)
+        for side, pieces in enumerate((slice(split), slice(split, None))):
             lv[side, :, col[head & (plane == side)]] = np.repeat(
-                value[pieces], (stop - begin)[pieces]).reshape(-1, rows - lo)
-        np.subtract(lv, t0[lo:, None], out=lv)
+                value[pieces], (stop - begin)[pieces]).reshape(-1, rows)
+        np.subtract(lv, t0[:, None], out=lv)
         np.clip(lv, 0.0, dt, out=lv)
         np.divide(lv, dt, out=lv)
-        mine = r >= lo
-        lv[plane[mine], r[mine] - lo, col[mine]] = covered[mine] / dt
+        lv[plane, r, col] = covered / dt
         rate, x = lv
         for lvl, e in zip(lv, ext):
             if e is not None:
-                np.maximum(lvl, e[lo:, cols] if e.shape[1] > 1 else e[lo:], out=lvl)
+                np.maximum(lvl, e, out=lvl)
         np.multiply(rate, p.r_exc, out=rate)
         np.add(rate, p.r_base, out=rate)
         np.multiply(x, p.r_inh, out=x)
         np.subtract(rate, x, out=rate)
         np.multiply(rate, dt, out=x)
-        if rings is not None:
-            self._win[3:5, lo:rows, cols] = lv
-        return cols, until.reshape(2, n)[:, cols]
+        return c, r, after
 
-    def _refold(self, rs, cs, end: int, charged, spike_phase, at_end: bool = False) -> None:
+    def _refold(self, rs, cs, end: int, charged, spike_phase) -> None:
         """Apply the spikes of neurons cs in window rows rs (ascending, one
-        per neuron) to their synapses, up to state row end: each v_syn is
-        charged in its spike's state row, and there its ring's phase is
-        spike_phase.
+        per neuron) to their synapses, up to the window's last state row
+        end: each v_syn is charged in its spike's state row, and there its
+        ring's phase is spike_phase.
 
         Each charged column is folded again from its spike on, in one block
         of state rows whose rows before a column's spike hold identity
         elements: 1.0 in the v_syn product and 0.0 in the phase sum; those
-        rows then take their old values back. At the window's end the block
-        lives in the level planes, which the window no longer needs once
-        rate has been read, and only the last phase row is kept.
+        rows then take their old values back. The block lives in the level
+        planes, which the window no longer needs once rate has been read,
+        and only the last phase row is kept.
         """
         sv, phase = self._win[:2]
-        freq = self._win[5]
         lo = int(rs[0]) + 1  # first state row that changes
         shape = (end + 1 - lo, len(cs))
-        blocks = self._win[3:5] if at_end else np.empty((2,) + shape)
         old, new = (plane.reshape(-1)[:shape[0] * shape[1]].reshape(shape)
-                    for plane in blocks)
+                    for plane in self._win[3:5])
         rel = rs + 1 - lo    # the spike's state row in the block
         at = (rel, np.arange(len(cs)))
         after = np.arange(shape[0])[:, None] >= rel
@@ -679,12 +651,6 @@ class NetworkSim:
 
         f = np.multiply(old[:-1], self._mid_decay, out=new[1:])
         osc_frequency(f, self.synapse, out=f)
-        if not at_end:
-            np.take(freq[lo:end], cs, axis=1, out=old[:-1], mode="clip")
-            np.copyto(old[:-1], f, where=after[:-1])
-            freq[lo:end, cs] = old[:-1]
-            self._resum(rs + 1, cs, spike_phase, end)
-            return
         f *= self.dt
         np.copyto(new, 0.0, where=~after)
         new[at] = spike_phase

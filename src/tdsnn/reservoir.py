@@ -17,7 +17,6 @@ import numpy as np
 
 from .errors import ConfigurationError
 from .network import Network, NetworkSim, Recorder, TraceSet
-from .pulses import PulseTrain
 
 
 @dataclass
@@ -105,47 +104,6 @@ def encode_feedback(z, params: FeedbackParams):
     return f_exc, f_inh
 
 
-def pulse_train_from_rate(f, width: float, duration: float,
-                          dt: float = 1e-5) -> PulseTrain:
-    """Emit a pulse at every unit crossing of the integrated rate.
-
-    f may be a scalar, an array of per-step rates, or a callable of time.
-    The accumulator starts at half phase, so a constant rate emits its first
-    pulse after half a period and the total count is round(integral of f);
-    crossing instants are interpolated within the step.
-    """
-    if not math.isfinite(duration):
-        raise ValueError("duration must be finite")
-    if width <= 0:
-        raise ValueError("width must be positive")
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    n = int(round(duration / dt))
-    times = np.arange(n) * dt
-    if callable(f):
-        rates = np.asarray([float(f(t)) for t in times])
-    else:
-        rates = np.broadcast_to(np.asarray(f, dtype=float), (n,)).copy()
-    if np.any(rates < 0):
-        raise ValueError("rates must be nonnegative")
-    if len(rates) and width * rates.max() >= 1.0:
-        raise ConfigurationError(
-            "pulse width exceeds the minimum inter-pulse gap at the peak rate")
-
-    rises = []
-    phase = 0.5
-    for k in range(n):
-        r = rates[k]
-        phase += r * dt
-        while phase >= 1.0 and r > 0:
-            over = phase - 1.0  # rate integral accumulated past the crossing
-            rises.append(times[k] + dt - over / r)
-            phase -= 1.0
-    rises = np.asarray(rises)
-    rises = rises[rises < duration]
-    return PulseTrain(rises, np.full(len(rises), width))
-
-
 @dataclass(frozen=True)
 class TargetSpec:
     """Supervisory signal; only sine targets are defined."""
@@ -187,8 +145,8 @@ class TrainConfig:
         if self.rls_init_alpha <= 0:
             raise ConfigurationError("rls_init_alpha must be positive")
         f_lo, f_hi = self.frequency_range
-        if not 0 < f_lo <= f_hi:
-            raise ConfigurationError("frequency_range must satisfy 0 < f_min <= f_max")
+        if not 0 < f_lo < f_hi:
+            raise ConfigurationError("frequency_range must satisfy 0 < f_min < f_max")
 
 
 class _PulseEmitter:

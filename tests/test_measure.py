@@ -6,8 +6,7 @@ import pytest
 from tdsnn import (CalibrationError, ConfigurationError, NeuronParams,
                    NeuronState, SynapseParams, SynapseState, calibrate,
                    firing_rate, free_run_period, neuron_step, osc_frequency,
-                   periodic_train, pulse_train_from_rate,
-                   steady_state_frequency, synapse_step)
+                   periodic_train, steady_state_frequency, synapse_step)
 from tdsnn.measure import run_chain, run_neuron, run_synapse, weighted_drive
 
 
@@ -59,8 +58,7 @@ def test_weighted_drive_is_shaped_source():
 @pytest.mark.parametrize("build", [
     lambda duration: weighted_drive(100.0, 12, duration),
     lambda duration: periodic_train(100.0, 1e-3, duration),
-    lambda duration: pulse_train_from_rate(100.0, 1e-3, duration),
-], ids=["weighted_drive", "periodic_train", "pulse_train_from_rate"])
+], ids=["weighted_drive", "periodic_train"])
 def test_pulse_train_builders_reject_a_duration_that_is_not_finite(build):
     for duration in (math.inf, -math.inf, math.nan):
         with pytest.raises(ValueError, match="duration must be finite"):

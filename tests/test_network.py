@@ -285,7 +285,8 @@ def stepped_ks(monkeypatch):
     return ks
 
 
-def test_simulate_matches_step_loop_with_inhibition_and_window_ends(stepped_ks):
+def test_simulate_matches_step_loop_with_inhibition_and_window_ends(stepped_ks,
+                                                                   kernel_calls):
     # Per-neuron trains: an inhibitory one long enough to clamp its membrane
     # at 0 for many steps, an excitatory one, and both on one neuron. At
     # dt = 1e-4 a window spans at most 15 steps; the sample interval is
@@ -302,10 +303,8 @@ def test_simulate_matches_step_loop_with_inhibition_and_window_ends(stepped_ks):
     stepped_ks.clear()
     assert_same_traces(simulate(net, inputs, duration), expected)
 
-    n_steps = len(expected["v"])
     assert stepped_ks == []  # every step is a window row
-    max_rows = NetworkSim(net)._max_rows
-    row = np.arange(n_steps) % max_rows  # each step's row in its window
+    row, last = window_rows(kernel_calls)
     edged = expected["edged"].any(axis=1)
     fired = expected["fired"].any(axis=1)
     # a membrane clamped at 0
@@ -313,7 +312,7 @@ def test_simulate_matches_step_loop_with_inhibition_and_window_ends(stepped_ks):
     # an edge and a spike fall inside one window, the spike after the edge
     assert any(edged[k - row[k]:k].any() for k in np.flatnonzero(fired))
     # an edge on a window's last row
-    assert (edged & (row == max_rows - 1)).any()
+    assert (edged & last).any()
 
 
 @pytest.mark.parametrize("cfg", [
@@ -381,7 +380,8 @@ def test_spike_charge_that_wraps_its_ring_wraps_it_in_the_window(kernel_calls):
     # A lone neuron fires in step 10, half a step after its crossing. Its
     # ring phase is placed so that it stays below 1 in that step and only
     # the phase credit of the charge takes it past 1, so the wrap is
-    # emitted at the start of step 11, in the middle of the window.
+    # emitted at the start of step 11. The charge ends the first window
+    # after step 10, and the wrap falls in the next window's first row.
     cfg = NetworkConfig(n_neurons=1, synapse=SynapseParams(delta_up=1.0))
     v_th, r_base, dt = cfg.neuron.v_th, cfg.neuron.r_base, cfg.dt
 
@@ -412,7 +412,7 @@ def test_spike_charge_that_wraps_its_ring_wraps_it_in_the_window(kernel_calls):
 
     sim = start(v0, phase0)
     sim.advance(20)
-    assert kernel_calls == [(20, 20, True)]
+    assert kernel_calls == [(20, 11, False), (9, 9, True)]
     for name in ("v", "sv", "sphase"):
         assert getattr(sim, name).tobytes() == getattr(oracle, name).tobytes(), name
     assert sim.k == oracle.k == 20
@@ -464,8 +464,8 @@ def test_external_levels_match_the_step_levels_of_each_train():
 
 @pytest.fixture
 def kernel_calls(monkeypatch):
-    """(rows asked for, steps committed, edge in the last step) per call of
-    NetworkSim.step with rows."""
+    """(rows asked for, steps committed, a ring wrapped in them) per call
+    of NetworkSim.step with rows."""
     calls = []
     step = NetworkSim.step
 
@@ -479,25 +479,13 @@ def kernel_calls(monkeypatch):
     return calls
 
 
-@pytest.fixture
-def window_events(monkeypatch):
-    """What the windows do, in call order: "plan" (every edge of a window),
-    "re-plan [rings]" (rings whose charge moved or made their edge),
-    "charge" (spikes charged in their own row) and "charge at end"."""
-    events = []
-    plan, refold = NetworkSim._plan, NetworkSim._refold
-
-    def spy_plan(self, *args, rings=None):
-        events.append("plan" if rings is None else f"re-plan {rings.tolist()}")
-        return plan(self, *args, rings=rings)
-
-    def spy_refold(self, *args, at_end=False):
-        events.append("charge at end" if at_end else "charge")
-        return refold(self, *args, at_end=at_end)
-
-    monkeypatch.setattr(NetworkSim, "_plan", spy_plan)
-    monkeypatch.setattr(NetworkSim, "_refold", spy_refold)
-    return events
+def window_rows(kernel_calls):
+    """Per committed step, its row in its window and whether that row is
+    the window's last."""
+    row = np.concatenate([np.arange(kept) for _, kept, _ in kernel_calls])
+    last = np.zeros(len(row), dtype=bool)
+    last[np.cumsum([kept for _, kept, _ in kernel_calls]) - 1] = True
+    return row, last
 
 
 def assert_advance_matches_steps(make_sim, chunks):
@@ -715,8 +703,9 @@ def test_spike_charge_brings_its_ring_wrap_into_the_window(kernel_calls):
     # Ring 0 is silent (v_syn = 0) until its neuron fires in step 10, 0.9
     # of a step after its crossing; the charge (delta_up = 1) runs it at
     # nearly f_max from there. Its phase is placed so that it wraps in the
-    # window's last row: the charge must be applied at once, and the bound
-    # that decides it must cover every row to the window's end.
+    # window's last row: the charge must end the window after step 10,
+    # and the bound that decides it must cover every row to the window's
+    # end. The next window holds the wrap.
     cfg = NetworkConfig(n_neurons=1,
                         synapse=SynapseParams(delta_up=1.0, tau_leak=10.0))
     p, dt = cfg.neuron, cfg.dt
@@ -736,11 +725,10 @@ def test_spike_charge_brings_its_ring_wrap_into_the_window(kernel_calls):
     phase0 = 1.0 - 0.5 * (gains[-1] + gains[-2])
     assert step_events(lambda: make_sim(phase0), rows) == ([(rows - 1, 0)], [(10, 0)])
     assert_advance_matches_steps(lambda: make_sim(phase0), [rows])
-    assert kernel_calls == [(rows, rows, True)]
+    assert kernel_calls == [(rows, 11, False), (rows - 11, rows - 11, True)]
 
 
-def test_spike_far_from_its_edge_is_charged_at_the_window_end(kernel_calls,
-                                                              window_events):
+def test_spike_far_from_its_edge_is_charged_at_the_window_end(kernel_calls):
     # Neuron 0 fires in step 10 with its ring at phase 0.1, which cannot
     # reach 1 in the window: its charge waits for the window's end, after
     # ring 1 wraps in step 60 and pulses neuron 0's input.
@@ -758,36 +746,42 @@ def test_spike_far_from_its_edge_is_charged_at_the_window_end(kernel_calls,
     assert step_events(make_sim, rows) == ([(60, 1)], [(10, 0)])
     assert_advance_matches_steps(make_sim, [rows])
     assert kernel_calls == [(rows, rows, True)]
-    assert window_events == ["plan", "charge at end"]
 
 
 def test_ring_bound_sizes_the_windows_at_a_coarse_step(kernel_calls):
     # At dt * f_max = 0.3 a ring can wrap every fourth step, so a window
     # holds at most floor(1 / 0.3) - 1 = 2 rows, far below the neuron
-    # bound; edges and spikes still fall inside the windows.
+    # bound; edges and spikes still fall inside the windows. A spike whose
+    # charge could move its ring's edge ends a window after its first row.
     cfg = NetworkConfig(n_neurons=20, connection_probability=0.2, seed=1,
                         synapse=SynapseParams(f_max=0.3 / 1e-5))
     net = build_network(cfg)
     expected = stepped_run(net, None, 0.05)
     assert_same_traces(simulate(net, None, 0.05), expected)
     assert NetworkSim(net)._max_rows == 2
-    assert {rows for rows, _, _ in kernel_calls} == {2}
+    asked, kept = np.array([(rows, kept) for rows, kept, _ in kernel_calls]).T
+    left = len(expected["v"]) - np.cumsum(kept) + kept  # steps left at each call
+    assert asked.tolist() == np.minimum(left, 2).tolist()
+    assert (kept < asked).any()
+    row, _ = window_rows(kernel_calls)
     edged = expected["edged"].any(axis=1)
     fired = expected["fired"].any(axis=1)
-    assert (edged[1::2] & fired[1::2]).any() and (edged[::2] & fired[::2]).any()
+    assert (edged & fired & (row == 1)).any() and (edged & fired & (row == 0)).any()
 
 
 # ---------------------------------------------------------------------------
-# the window's plan: every edge at once, re-planned when a charge moves one
+# the window's plan: every edge at once; a charge that moves one ends it
 # ---------------------------------------------------------------------------
 
 def test_charge_moves_a_planned_edge_onto_a_channel_another_edge_drives(
-        kernel_calls, window_events):
+        kernel_calls):
     # Ring 0 would wrap in step 71 of the window. Its neuron fires in step
-    # 10, and the charge (delta_up = 1) moves the wrap to step 36. Ring 1
+    # 10, and the charge (delta_up = 1) moves the wrap to step 36, so the
+    # window ends after step 10 and drops the unions it planned. Ring 1
     # runs at f_max (v_syn above saturation) and wraps half way into step
     # 31; its 50-us pulse on neuron 2's excitatory input still covers half
-    # of step 36, where ring 0's moved 200-us pulse starts on that input.
+    # of step 36, where ring 0's moved 200-us pulse starts on that input:
+    # the next window plans both edges.
     cfg = NetworkConfig(n_neurons=3, connections=[Connection(0, 2, "exc", 3),
                                                   Connection(1, 2, "exc", 0)],
                         synapse=SynapseParams(delta_up=1.0))
@@ -807,13 +801,11 @@ def test_charge_moves_a_planned_edge_onto_a_channel_another_edge_drives(
     assert edges == [(31, 1), (36, 0)] and spikes[0] == (10, 0)
     assert any(i == 2 for _, i in spikes)
     assert_advance_matches_steps(lambda: make_sim(v0), [rows])
-    assert kernel_calls == [(rows, rows, True)]
-    # neuron 2's spike in the window waits for its end
-    assert window_events == ["plan", "charge", "re-plan [0]", "charge at end"]
+    # neuron 2's spike in the second window waits for its end
+    assert kernel_calls == [(rows, 11, False), (rows - 11, rows - 11, True)]
 
 
-def test_edges_in_two_rows_chain_their_union_on_one_channel(kernel_calls,
-                                                            window_events):
+def test_edges_in_two_rows_chain_their_union_on_one_channel(kernel_calls):
     # Rings 0 and 1 run at f_max and wrap in steps 20 and 50, three
     # quarters and a quarter of the way in. Ring 0's 300-us pulse (code 5)
     # on neuron 2's excitatory input covers step 50 up to three quarters;
@@ -837,14 +829,14 @@ def test_edges_in_two_rows_chain_their_union_on_one_channel(kernel_calls,
     assert edges == [(20, 0), (50, 1)] and [i for _, i in spikes] == [2]
     assert_advance_matches_steps(make_sim, [rows])
     assert kernel_calls == [(rows, rows, True)]
-    assert window_events == ["plan", "charge at end"]
 
 
-def test_charge_moves_an_edge_into_the_windows_last_row(kernel_calls, window_events):
+def test_charge_moves_an_edge_into_the_windows_last_row(kernel_calls):
     # As in test_spike_charge_brings_its_ring_wrap_into_the_window, ring 0
     # is silent until its neuron fires in step 10, and the charge makes it
-    # wrap in the window's last row. Its 800-us pulse on neuron 1 starts
-    # there and carries on into the next window.
+    # wrap in step rows - 1: it ends the first window, and the wrap falls
+    # in the second window's last row. Its 800-us pulse on neuron 1 starts
+    # there and carries on into the third window.
     cfg = NetworkConfig(n_neurons=2, connections=[Connection(0, 1, "exc", 15)],
                         synapse=SynapseParams(delta_up=1.0, tau_leak=10.0))
     p, dt = cfg.neuron, cfg.dt
@@ -866,13 +858,12 @@ def test_charge_moves_an_edge_into_the_windows_last_row(kernel_calls, window_eve
     assert edges == [(rows - 1, 0)] and spikes[0] == (10, 0)
     assert any(i == 1 and k >= rows for k, i in spikes)
     assert_advance_matches_steps(lambda: make_sim(phase0), [rows, 60])
-    assert kernel_calls == [(rows, rows, True), (60, 60, False)]
-    # neuron 1 fires in the second window, charged at its end
-    assert window_events == ["plan", "charge", "re-plan [0]", "plan", "charge at end"]
+    # neuron 1 fires in the third window, charged at its end
+    assert kernel_calls == [(rows, 11, False), (rows - 11, rows - 11, True),
+                            (60, 60, False)]
 
 
-def test_charge_whose_ring_stays_silent_waits_for_the_window_end(kernel_calls,
-                                                                 window_events):
+def test_charge_whose_ring_stays_silent_waits_for_the_window_end(kernel_calls):
     # Ring 0 sits at phase 0.9 without v_syn: f_max could take it past 1
     # in the window, but the charge of its spike in step 10 (delta_up =
     # 0.08) leaves v_syn below the oscillation onset, so its own frequency
@@ -891,7 +882,6 @@ def test_charge_whose_ring_stays_silent_waits_for_the_window_end(kernel_calls,
     assert step_events(make_sim, rows) == ([], [(10, 0)])
     assert_advance_matches_steps(make_sim, [rows])
     assert kernel_calls == [(rows, rows, False)]
-    assert window_events == ["plan", "charge at end"]
 
 
 def test_advance_takes_external_levels_as_nested_lists():

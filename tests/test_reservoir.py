@@ -2,12 +2,11 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from scipy.integrate import trapezoid
 
 from tdsnn import (ConfigurationError, FeedbackParams, NetworkConfig, NetworkSim,
                    RlsState, TargetSpec, TrainConfig, build_network,
-                   encode_feedback, evaluate, normalized_state,
-                   pulse_train_from_rate, readout, rls_update, train_force)
+                   encode_feedback, evaluate, normalized_state, readout,
+                   rls_update, train_force)
 
 
 # ---------------------------------------------------------------------------
@@ -143,39 +142,6 @@ def test_encode_feedback_caps_and_exclusivity():
 def test_encode_feedback_nonfinite():
     with pytest.raises(ValueError):
         encode_feedback(float("nan"), FeedbackParams())
-
-
-# ---------------------------------------------------------------------------
-# pulse_train_from_rate
-# ---------------------------------------------------------------------------
-
-def test_rate_zero_gives_empty_train():
-    assert len(pulse_train_from_rate(0.0, 1e-3, 1.0)) == 0
-
-
-def test_constant_rate_pulse_spacing():
-    train = pulse_train_from_rate(100.0, 1e-3, 0.1)
-    assert len(train) == 10
-    assert np.allclose(np.diff(train.rises), 0.01, atol=2e-5)
-
-
-def test_sinusoidal_rate_count_matches_quadrature():
-    duration = 2.0
-    f = lambda t: 120.0 * (1.0 + np.sin(2 * np.pi * 3.0 * t)) / 2.0
-    train = pulse_train_from_rate(f, 0.5e-3, duration, dt=1e-5)
-    ts = np.arange(0, duration, 1e-6)
-    integral = trapezoid(f(ts), ts)
-    assert abs(len(train) - round(integral)) <= 1
-
-
-def test_rate_width_guard():
-    with pytest.raises(ConfigurationError):
-        pulse_train_from_rate(200.0, 6e-3, 1.0)  # width > 1/200
-
-
-def test_rate_rejects_negative():
-    with pytest.raises(ValueError):
-        pulse_train_from_rate(-1.0, 1e-3, 1.0)
 
 
 # ---------------------------------------------------------------------------
