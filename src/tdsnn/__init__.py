@@ -8,9 +8,10 @@ trains a linear readout online with recursive least squares.
 """
 
 from .errors import CalibrationError, ConfigurationError
-from .neuron import NeuronParams, NeuronState, free_run_period, neuron_step
+from .neuron import (NeuronParams, NeuronState, free_run_period, neuron_step,
+                     run_neuron)
 from .pulses import PulseTrain, periodic_train
-from .synapse import (SynapseParams, SynapseState, osc_frequency,
+from .synapse import (SynapseParams, SynapseState, osc_frequency, run_synapse,
                       steady_state_frequency, steady_state_v, synapse_step)
 from .weight import WeightParams, pulse_width, shape_pulses
 from .network import (Connection, Network, NetworkConfig, NetworkSim, TraceSet,
@@ -19,7 +20,7 @@ from .reservoir import (FeedbackParams, RlsState, TargetSpec, TrainConfig,
                         encode_feedback, evaluate, normalized_state, readout,
                         rls_update, train_force)
 from .measure import (CalibrationResult, PAPER_ANCHORS, calibrate, firing_rate,
-                      run_chain, run_neuron, run_synapse, weighted_drive)
+                      weighted_drive)
 from .config import SimulationConfig, parse_config, serialize_config
 from .traceio import RunSummary, read_csv_columns, write_summary, write_traces
 
@@ -27,10 +28,10 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CalibrationError", "ConfigurationError",
-    "NeuronParams", "NeuronState", "free_run_period", "neuron_step",
+    "NeuronParams", "NeuronState", "free_run_period", "neuron_step", "run_neuron",
     "PulseTrain", "periodic_train",
-    "SynapseParams", "SynapseState", "osc_frequency", "steady_state_frequency",
-    "steady_state_v", "synapse_step",
+    "SynapseParams", "SynapseState", "osc_frequency", "run_synapse",
+    "steady_state_frequency", "steady_state_v", "synapse_step",
     "WeightParams", "pulse_width", "shape_pulses",
     "Connection", "Network", "NetworkConfig", "NetworkSim", "TraceSet",
     "build_network", "simulate",
@@ -38,7 +39,7 @@ __all__ = [
     "encode_feedback", "evaluate", "normalized_state", "readout", "rls_update",
     "train_force",
     "CalibrationResult", "PAPER_ANCHORS", "calibrate", "firing_rate",
-    "run_chain", "run_neuron", "run_synapse", "weighted_drive",
+    "weighted_drive",
     "SimulationConfig", "parse_config", "serialize_config",
     "RunSummary", "read_csv_columns", "write_summary", "write_traces",
 ]

@@ -24,7 +24,7 @@ from .measure import (ANCHOR_TOLERANCES, PAPER_ANCHORS, calibrate,
                       run_synapse, weighted_drive)
 from .network import NetworkConfig, TraceSet, build_network, simulate
 from .reservoir import RlsState, evaluate, train_force
-from .synapse import check_duration
+from .pulses import check_duration
 from .traceio import RunSummary, Stopwatch, write_summary, write_traces
 
 
@@ -54,11 +54,18 @@ def _parse_range(text: str) -> tuple[float, float]:
             f"range must look like '15:200', got {text!r}") from None
 
 
-def _timed_write_traces(traces, out_dir) -> float:
-    """Write the trace CSVs; return the seconds it took."""
+def _write_run(out_dir, traces, command: str, seed: int, metrics: dict,
+               wall_clock_s: float, config_echo: str = "") -> None:
+    """Write a run's trace CSVs and its summary.json into out_dir.
+
+    wall_clock_s is the time the run took before writing; write_s in the
+    summary is the time the CSVs took.
+    """
     with Stopwatch() as sw:
         write_traces(traces, out_dir)
-    return sw.elapsed
+    write_summary(RunSummary(command=command, seed=seed, metrics=metrics,
+                             config_echo=config_echo, wall_clock_s=wall_clock_s,
+                             write_s=sw.elapsed), out_dir)
 
 
 def cmd_simulate_neuron(args) -> int:
@@ -76,11 +83,8 @@ def cmd_simulate_neuron(args) -> int:
     rate = n_spikes / args.duration
     print(f"neuron: {n_spikes} spikes in {args.duration:g} s ({rate:.2f} Hz)")
     if args.trace:
-        write_s = _timed_write_traces(traces, args.trace)
-        summary = RunSummary(command="simulate-neuron", seed=args.seed,
-                             metrics={"spikes": n_spikes, "rate_hz": rate},
-                             wall_clock_s=sw.elapsed, write_s=write_s)
-        write_summary(summary, args.trace)
+        _write_run(args.trace, traces, "simulate-neuron", args.seed,
+                   {"spikes": n_spikes, "rate_hz": rate}, sw.elapsed)
     return 0
 
 
@@ -100,17 +104,14 @@ def cmd_simulate_synapse(args) -> int:
           f"({rate:.2f} Hz)")
     if args.trace:
         times, v_syn, freq = trace
-        every = max(1, int(round(1e-4 / args.dt)))
+        every = max(1, int(round(NetworkConfig().sample_interval / args.dt)))
         sel = slice(None, None, every)
         traces = TraceSet(dt=args.dt, duration=args.duration, n_neurons=1,
                           spikes=[edges], sample_times=times[sel],
                           v_mem=np.zeros((len(times[sel]), 1)),
                           v_syn=v_syn[sel, None], freq_hz=freq[sel, None])
-        write_s = _timed_write_traces(traces, args.trace)
-        summary = RunSummary(command="simulate-synapse", seed=0,
-                             metrics={"edges": len(edges), "rate_hz": rate},
-                             wall_clock_s=sw.elapsed, write_s=write_s)
-        write_summary(summary, args.trace)
+        _write_run(args.trace, traces, "simulate-synapse", 0,
+                   {"edges": len(edges), "rate_hz": rate}, sw.elapsed)
     return 0
 
 
@@ -126,14 +127,10 @@ def cmd_network_run(args) -> int:
     print(f"network: {net_cfg.n_neurons} neurons, {net.n_connections} connections, "
           f"{int(counts.sum())} spikes in {args.duration:g} s")
     if args.out:
-        write_s = _timed_write_traces(traces, args.out)
-        summary = RunSummary(command="network run", seed=net_cfg.seed,
-                             metrics={"total_spikes": int(counts.sum()),
-                                      "mean_rate_hz": counts.mean() / args.duration},
-                             config_echo=serialize_config(
-                                 replace(cfg, network=net_cfg)),
-                             wall_clock_s=sw.elapsed, write_s=write_s)
-        write_summary(summary, args.out)
+        _write_run(args.out, traces, "network run", net_cfg.seed,
+                   {"total_spikes": int(counts.sum()),
+                    "mean_rate_hz": counts.mean() / args.duration},
+                   sw.elapsed, serialize_config(replace(cfg, network=net_cfg)))
     return 0
 
 
@@ -159,25 +156,21 @@ def cmd_reservoir_train(args) -> int:
     lo, hi = train_cfg.frequency_range
     print(f"reservoir train: range {lo:g}-{hi:g} Hz, "
           f"autonomous NRMSE = {metrics.get('nrmse', float('nan')):.4f}")
-    out = Path(args.out)
-    write_s = _timed_write_traces(traces, out)
     cfg_echo = serialize_config(
         SimulationConfig(network=net_cfg, train=train_cfg, feedback=cfg.feedback))
+    _write_run(args.out, traces, "reservoir train", net_cfg.seed, metrics,
+               sw.elapsed, cfg_echo)
     weights = {
         "w": [float(x) for x in rls.w],
         "config": cfg_echo,
         "seed": net_cfg.seed,
     }
     try:
-        with open(out / "weights.json", "w") as fh:
+        with open(Path(args.out) / "weights.json", "w") as fh:
             json.dump(weights, fh, indent=2)
             fh.write("\n")
     except OSError as exc:
         raise OSError(f"cannot write weights file: {exc}") from exc
-    summary = RunSummary(command="reservoir train", seed=net_cfg.seed,
-                         metrics=metrics, config_echo=cfg_echo,
-                         wall_clock_s=sw.elapsed, write_s=write_s)
-    write_summary(summary, out)
     return 0
 
 
@@ -226,11 +219,8 @@ def cmd_reservoir_eval(args) -> int:
     print(f"reservoir eval: NRMSE = {metrics['nrmse']:.4f} over "
           f"{args.periods} periods")
     if args.out:
-        write_s = _timed_write_traces(traces, args.out)
-        summary = RunSummary(command="reservoir eval", seed=cfg.network.seed,
-                             metrics=metrics, config_echo=config_text,
-                             wall_clock_s=sw.elapsed, write_s=write_s)
-        write_summary(summary, args.out)
+        _write_run(args.out, traces, "reservoir eval", cfg.network.seed, metrics,
+                   sw.elapsed, config_text)
     return 0
 
 

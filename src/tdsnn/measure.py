@@ -3,11 +3,10 @@ and calibration against the measured anchor frequencies.
 
 The drivers mirror the bench setup: a square-wave source stands in for a
 pre-stage synapse, a weight module shapes it into pulses, and the neuron or
-neuron+synapse chain under test is stepped at a fixed dt. The steps are
-those of neuron_step and synapse_step, bit for bit, but run_neuron,
-run_synapse and run_chain pay per event, not per step: neuron_run and
-synapse_run fold the steps between input-level changes, spikes and ring
-wraps with NumPy accumulates.
+the synapse under test is stepped at a fixed dt. run_neuron and run_synapse
+(from the neuron and synapse modules) take the steps of neuron_step and
+synapse_step, bit for bit, but pay per event, not per step. A neuron
+feeding its synapse is a one-neuron NetworkSim.
 """
 
 from __future__ import annotations
@@ -21,11 +20,11 @@ from scipy.optimize import least_squares
 from .errors import CalibrationError
 # neuron_step and synapse_step are the per-step reference that the run_*
 # functions reproduce; they stay importable from here.
-from .neuron import (NeuronParams, free_run_period, neuron_run,  # noqa: F401
-                     neuron_step)
+from .neuron import (NeuronParams, free_run_period, neuron_step,  # noqa: F401
+                     run_neuron)
 from .pulses import PulseTrain
-from .synapse import (SynapseParams, check_dt, check_duration,  # noqa: F401
-                      steady_state_frequency, synapse_run, synapse_step)
+from .synapse import (SynapseParams, run_synapse,  # noqa: F401
+                      steady_state_frequency, synapse_step)
 from .weight import WeightParams, shape_pulses
 
 
@@ -68,77 +67,6 @@ def weighted_drive(input_freq: float, code: int, duration: float,
     edges = np.arange(n) / input_freq
     edges = edges[edges < duration]
     return shape_pulses(edges, code, weight)
-
-
-def _n_steps(duration: float, dt: float) -> int:
-    if not dt > 0:
-        raise ValueError("dt must be positive")
-    check_duration(duration)
-    return int(round(duration / dt))
-
-
-def _levels(train: PulseTrain, dt: float, n_steps: int) -> np.ndarray:
-    if train is None:
-        return np.zeros(n_steps, dtype=bool)
-    return train.step_levels(dt, n_steps)
-
-
-def run_neuron(params: NeuronParams, duration: float, dt: float,
-               exc_train: PulseTrain = None, inh_train: PulseTrain = None,
-               record: bool = False):
-    """Step a single neuron under optional pulse drive.
-
-    The steps follow neuron_step, with each train sampled at the step
-    starts; the cost grows with the number of level changes and spikes, not
-    with the number of steps. Returns (spike_times, trace) where trace is
-    (times, v_mem) when record=True, else None. Each spike is dated at the
-    end of the step in which the membrane crossed the threshold.
-    """
-    n_steps = _n_steps(duration, dt)
-    fired, v_mem = neuron_run(params, _levels(exc_train, dt, n_steps),
-                              _levels(inh_train, dt, n_steps), dt, record)
-    trace = (np.arange(n_steps + 1) * dt, v_mem) if record else None
-    return (fired + 1) * dt, trace
-
-
-def run_synapse(params: SynapseParams, spike_times, duration: float, dt: float,
-                record: bool = False):
-    """Step a single synapse charged by the given presynaptic spike times.
-
-    The steps follow synapse_step; a spike landing in [k*dt, (k+1)*dt)
-    charges the synapse during step k, and spikes outside [0, duration) are
-    dropped. The cost grows with the number of spikes and ring edges, not
-    with the number of steps. Returns (edge_times, trace) with
-    trace = (times, v_syn, freq) when record=True.
-    """
-    n_steps = _n_steps(duration, dt)
-    spike_steps = np.zeros(n_steps, dtype=bool)
-    idx = np.floor(np.asarray(spike_times, dtype=float) / dt).astype(int)
-    spike_steps[idx[(idx >= 0) & (idx < n_steps)]] = True
-    edges, trace = synapse_run(params, spike_steps, dt, record)
-    if record:
-        trace = (np.arange(n_steps + 1) * dt,) + trace
-    return edges, trace
-
-
-def run_chain(nparams: NeuronParams, sparams: SynapseParams, duration: float,
-              dt: float, exc_train: PulseTrain = None,
-              inh_train: PulseTrain = None):
-    """Neuron feeding its synapse, stepped together as on the test chip.
-
-    A spike charges the synapse in the step in which the neuron fires. The
-    neuron runs first, then the synapse is run on its spike mask, with the
-    same per-event cost as run_neuron and run_synapse. Returns
-    (spike_times, edge_times).
-    """
-    n_steps = _n_steps(duration, dt)
-    check_dt(sparams, dt)  # before the neuron runs
-    fired, _ = neuron_run(nparams, _levels(exc_train, dt, n_steps),
-                          _levels(inh_train, dt, n_steps), dt)
-    mask = np.zeros(n_steps, dtype=bool)
-    mask[fired] = True
-    edges, _ = synapse_run(sparams, mask, dt)
-    return (fired + 1) * dt, edges
 
 
 PAPER_ANCHORS = {

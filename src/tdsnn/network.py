@@ -27,7 +27,8 @@ import numpy as np
 
 from .errors import ConfigurationError
 from .neuron import NeuronParams
-from .synapse import SynapseParams, check_dt, check_duration, osc_frequency
+from .pulses import check_duration
+from .synapse import SynapseParams, check_dt, osc_frequency
 from .weight import WeightParams, N_CODES, pulse_width
 
 POLARITIES = ("exc", "inh")
@@ -224,9 +225,9 @@ class NetworkSim:
         # The OR of a channel's pulses is high from before the step start
         # until _until[channel] (absolute time), so a step without new
         # pulses needs no scan of the connections.
-        for code in np.unique(network.codes).tolist():
-            pulse_width(code, cfg.weight)  # rejects a code out of range
-        self._widths = cfg.weight.w0 + (network.codes + 1) * cfg.weight.tau_unit
+        codes, which = np.unique(network.codes, return_inverse=True)
+        self._widths = np.array([pulse_width(code, cfg.weight)  # rejects bad codes
+                                 for code in codes.tolist()])[which]
         self._channel = network.post + self.n * ~network.is_exc
         self._out = np.argsort(network.pre, kind="stable")
         self._out_ptr = np.searchsorted(network.pre[self._out], np.arange(self.n + 1))
@@ -269,14 +270,14 @@ class NetworkSim:
         return (self._channel[conn], start, start + self._widths[conn],
                 np.repeat(rows, counts))
 
-    def recurrent_levels(self, k: Optional[int] = None) -> tuple[np.ndarray, np.ndarray]:
-        """Per-neuron fraction of step k (by default the current step) that
-        the pulses of the excitatory and of the inhibitory connections cover.
+    def recurrent_levels(self) -> tuple[np.ndarray, np.ndarray]:
+        """Per-neuron fraction of the current step that the pulses of the
+        excitatory and of the inhibitory connections cover.
 
         The pulses on one input are OR-ed, so their union counts once.
         """
         dt = self.dt
-        t0 = (self.k if k is None else k) * dt
+        t0 = self.k * dt
         level = np.minimum(np.maximum(self._until - t0, 0.0), dt)
         if self._starts is not None:
             channel, start, end, rows = self._starts

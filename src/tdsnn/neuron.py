@@ -19,6 +19,8 @@ from typing import Optional
 
 import numpy as np
 
+from .pulses import PulseTrain, check_duration
+
 
 @dataclass(frozen=True)
 class NeuronParams:
@@ -86,29 +88,34 @@ def _net_rate(params: NeuronParams, exc_high: bool, inh_high: bool) -> float:
     return rate
 
 
-def neuron_run(params: NeuronParams, exc_levels, inh_levels, dt: float,
+def run_neuron(params: NeuronParams, duration: float, dt: float,
+               exc_train: PulseTrain = None, inh_train: PulseTrain = None,
                record: bool = False):
-    """Run neuron_step from rest over per-step input levels, event by event.
+    """Run neuron_step from rest under optional pulse drive, event by event.
 
-    exc_levels and inh_levels hold one boolean per step. The result is
-    bit-identical to looping over neuron_step, but the Python loop runs once
-    per event (a level change or a spike): while the levels hold, the
-    membrane is the running sum v + x + x + ... with x = rate*dt, which
-    np.add.accumulate folds in the same order, clamped at zero when x < 0.
-    Returns (fired, v_mem): the indices of the steps in which the neuron
-    fired, and with record=True the membrane before the first step and
-    after each step (else None).
+    Each train is sampled at the step starts. The result is bit-identical
+    to looping over neuron_step, but the Python loop runs once per event (a
+    level change or a spike): while the levels hold, the membrane is the
+    running sum v + x + x + ... with x = rate*dt, which np.add.accumulate
+    folds in the same order, clamped at zero when x < 0. Returns
+    (spike_times, trace) where trace is (times, v_mem) when record=True,
+    else None; v_mem holds the membrane before the first step and after
+    each step. Each spike is dated at the end of the step in which the
+    membrane crossed the threshold.
     """
-    exc = np.asarray(exc_levels, dtype=bool)
-    inh = np.asarray(inh_levels, dtype=bool)
-    n = len(exc)
+    if not dt > 0:
+        raise ValueError("dt must be positive")
+    check_duration(duration)
+    n = int(round(duration / dt))
+    exc, inh = [np.zeros(n, dtype=bool) if train is None else train.step_levels(dt, n)
+                for train in (exc_train, inh_train)]
     code = exc + 2 * inh.astype(np.int8)  # indexes xs
     xs = [_net_rate(params, e, i) * dt
           for e, i in ((False, False), (True, False), (False, True), (True, True))]
     v_th = params.v_th
     v = 0.0
     fired = []
-    trace = np.zeros(n + 1) if record else None
+    v_mem = np.zeros(n + 1) if record else None
     starts = np.flatnonzero(np.diff(code, prepend=-1)).tolist()
     for a, b in zip(starts, starts[1:] + [n]):
         x = xs[code[a]]
@@ -132,12 +139,13 @@ def neuron_run(params: NeuronParams, exc_levels, inh_levels, dt: float,
             if hit.size:
                 m = int(hit[0]) + 1
                 run[m] -= v_th
-                fired.append(k + m - 1)
+                fired.append(k + m)  # the end of the firing step
             if record:
-                trace[k + 1:k + m + 1] = run[1:m + 1]
+                v_mem[k + 1:k + m + 1] = run[1:m + 1]
             v = float(run[m])
             k += m
-    return np.array(fired, dtype=np.int64), trace
+    trace = (np.arange(n + 1) * dt, v_mem) if record else None
+    return np.array(fired, dtype=np.int64) * dt, trace
 
 
 def free_run_period(params: NeuronParams) -> float:

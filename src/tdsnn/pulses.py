@@ -13,6 +13,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 
+def check_duration(duration: float) -> None:
+    """Reject a run length that is not positive and finite."""
+    if not duration > 0:
+        raise ValueError("duration must be positive")
+    if not math.isfinite(duration):
+        raise ValueError("duration must be finite")
+
+
 @dataclass
 class PulseTrain:
     """Ordered, non-overlapping digital pulses.

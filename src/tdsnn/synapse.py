@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError
+from .pulses import check_duration
 
 
 @dataclass(frozen=True)
@@ -86,14 +87,6 @@ def check_dt(params: SynapseParams, dt: float) -> None:
             f"got {dt * params.f_max:g})")
 
 
-def check_duration(duration: float) -> None:
-    """Reject a run length that is not positive and finite."""
-    if not duration > 0:
-        raise ValueError("duration must be positive")
-    if not math.isfinite(duration):
-        raise ValueError("duration must be finite")
-
-
 def synapse_step(state: SynapseState, params: SynapseParams, spike_in: bool,
                  dt: float) -> tuple[SynapseState, list[float]]:
     """Advance the synapse by one step of length dt.
@@ -118,27 +111,31 @@ def synapse_step(state: SynapseState, params: SynapseParams, spike_in: bool,
     return SynapseState(v_syn=v, phase=phase), edges
 
 
-def synapse_run(params: SynapseParams, spike_steps, dt: float,
+def run_synapse(params: SynapseParams, spike_times, duration: float, dt: float,
                 record: bool = False):
-    """Run synapse_step from rest over a per-step spike mask, event by event.
+    """Run synapse_step from rest, charged by the given presynaptic spike
+    times, event by event.
 
-    The result is bit-identical to looping over synapse_step, but the Python
-    loop runs once per event (a spike or a ring wrap). Between spikes v_syn
-    is the running product v*decay*decay*..., folded in order by
+    A spike landing in [k*dt, (k+1)*dt) charges the synapse during step k,
+    and spikes outside [0, duration) are dropped. The result is
+    bit-identical to looping over synapse_step, but the Python loop runs
+    once per event (a spike or a ring wrap). Between spikes v_syn is the
+    running product v*decay*decay*..., folded in order by
     np.multiply.accumulate; the ring phase is the running sum of f*dt,
     folded by np.add.accumulate until it wraps at 1. Silent steps (f = 0)
     leave the phase as it is and are skipped. Returns (edge_times, trace)
-    with trace = (v_syn, freq) when record=True, each holding the value
-    before the first step and after each step, else None.
+    with trace = (times, v_syn, freq) when record=True, each holding the
+    value before the first step and after each step, else None.
     """
     check_dt(params, dt)
-    spikes = np.asarray(spike_steps, dtype=bool)
-    n = len(spikes)
+    check_duration(duration)
+    n = int(round(duration / dt))
+    idx = np.floor(np.asarray(spike_times, dtype=float) / dt).astype(int)
     decay = math.exp(-dt / params.tau_leak)
     v = np.full(n + 1, decay)
     v[0] = 0.0
     start = 0  # v[start] holds the value entering step start
-    for s in np.flatnonzero(spikes).tolist():
+    for s in np.unique(idx[(idx >= 0) & (idx < n)]).tolist():
         np.multiply.accumulate(v[start:s + 1], out=v[start:s + 1])
         pre = float(v[s])
         v[s + 1] = (pre + params.delta_up * (params.v_max - pre)) * decay
@@ -173,7 +170,7 @@ def synapse_run(params: SynapseParams, spike_steps, dt: float,
         else:
             phase = float(acc[m])
             k += m
-    trace = (v, np.concatenate(([0.0], f))) if record else None
+    trace = (np.arange(n + 1) * dt, v, np.concatenate(([0.0], f))) if record else None
     return np.array(edges), trace
 
 

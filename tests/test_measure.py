@@ -3,11 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from tdsnn import (CalibrationError, ConfigurationError, NeuronParams,
-                   NeuronState, SynapseParams, SynapseState, calibrate,
-                   firing_rate, free_run_period, neuron_step, osc_frequency,
-                   periodic_train, steady_state_frequency, synapse_step)
-from tdsnn.measure import run_chain, run_neuron, run_synapse, weighted_drive
+from tdsnn import (CalibrationError, NetworkConfig, NetworkSim, NeuronParams,
+                   NeuronState, SynapseParams, SynapseState, build_network,
+                   calibrate, firing_rate, free_run_period, neuron_step,
+                   osc_frequency, periodic_train, steady_state_frequency,
+                   synapse_step)
+from tdsnn.measure import run_neuron, run_synapse, weighted_drive
 
 
 def test_firing_rate_regular_train():
@@ -93,18 +94,29 @@ def test_calibrate_paper_anchors_within_tolerance(paper_fit):
 
 
 def test_calibrated_chain_reproduces_anchors(paper_fit):
-    # independent re-simulation of the full neuron+synapse chain
-    duration, dt = 5.0, 1e-5
-    drive = weighted_drive(100.0, 12, duration)
+    # The fitted neuron feeding its fitted synapse, re-simulated as a
+    # one-neuron network: unlike the fit, the kernel charges the synapse at
+    # the threshold crossing, not at the start of the firing step.
+    cfg = NetworkConfig(n_neurons=1, neuron=paper_fit.neuron,
+                        synapse=paper_fit.synapse)
+    duration = 2.0
+    n_steps = int(round(duration / cfg.dt))
+    drive = weighted_drive(100.0, 12, duration).step_levels(cfg.dt, n_steps)[:, None]
     cases = {
         "syn_inhibited_hz": (None, drive, 41.0, 0.15),
         "syn_free_hz": (None, None, 90.0, 0.05),
         "syn_excited_hz": (drive, None, 98.0, 0.05),
     }
     for name, (exc, inh, target, tol) in cases.items():
-        _, edges = run_chain(paper_fit.neuron, paper_fit.synapse, duration, dt,
-                             exc_train=exc, inh_train=inh)
-        measured = len(edges) / duration
+        sim = NetworkSim(build_network(cfg))
+        done = edges = 0
+        while done < n_steps:
+            rows = min(n_steps - done, sim._max_rows)
+            fired = sim.step(*[None if e is None else e[done:done + rows]
+                               for e in (exc, inh)], rows=rows)
+            done += len(fired)
+            edges += int(sim.edged.sum())  # a ring wraps once per window at most
+        measured = edges / duration
         assert abs(measured - target) / target <= tol, (name, measured)
 
 
@@ -132,8 +144,8 @@ def test_calibrate_reports_failure_with_residuals():
     assert exc_info.value.residuals
 
 
-# --- run_neuron, run_synapse and run_chain against plain loops over the
-# step functions ---
+# --- run_neuron and run_synapse against plain loops over the step
+# functions ---
 
 def step_neuron(params, duration, dt, exc=None, inh=None):
     """Loop over neuron_step: (spike_times, v_mem before and after each step)."""
@@ -162,23 +174,6 @@ def step_synapse(params, flags, dt):
     return np.array(edges), np.array(v_syn), np.array(freq)
 
 
-def step_chain(nparams, sparams, duration, dt, exc=None, inh=None):
-    """Loop over neuron_step and synapse_step together: (spikes, edges)."""
-    n = int(round(duration / dt))
-    exc = exc.step_levels(dt, n) if exc is not None else np.zeros(n, dtype=bool)
-    inh = inh.step_levels(dt, n) if inh is not None else np.zeros(n, dtype=bool)
-    nstate, sstate = NeuronState(), SynapseState()
-    spikes, edges = [], []
-    for k in range(n):
-        nstate, fired = neuron_step(nstate, nparams, bool(exc[k]), bool(inh[k]),
-                                    dt)
-        if fired:
-            spikes.append((k + 1) * dt)
-        sstate, offsets = synapse_step(sstate, sparams, fired, dt)
-        edges.extend(k * dt + off for off in offsets)
-    return np.array(spikes), np.array(edges)
-
-
 def spike_flags(spike_times, duration, dt):
     flags = [False] * int(round(duration / dt))
     for t in spike_times:
@@ -190,8 +185,8 @@ def spike_flags(spike_times, duration, dt):
 
 def assert_runs_match_step_loops(nparams, sparams, duration, dt, exc=None,
                                     inh=None, spike_times=None):
-    """run_neuron, run_synapse (on spike_times, else on the neuron's
-    spikes) and run_chain equal the loops, traces included."""
+    """run_neuron and run_synapse (on spike_times, else on the neuron's
+    spikes) equal the loops, traces included."""
     spikes, (times, v_mem) = run_neuron(nparams, duration, dt, exc, inh,
                                         record=True)
     ref_spikes, ref_v_mem = step_neuron(nparams, duration, dt, exc, inh)
@@ -207,12 +202,6 @@ def assert_runs_match_step_loops(nparams, sparams, duration, dt, exc=None,
     assert np.array_equal(edges, ref[0])
     assert np.array_equal(v_syn, ref[1])
     assert np.array_equal(freq, ref[2])
-
-    chain = run_chain(nparams, sparams, duration, dt, exc_train=exc,
-                      inh_train=inh)
-    ref_chain = step_chain(nparams, sparams, duration, dt, exc, inh)
-    assert np.array_equal(chain[0], ref_chain[0])
-    assert np.array_equal(chain[1], ref_chain[1])
     return ref_v_mem, ref
 
 
@@ -290,12 +279,3 @@ def test_run_synapse_wraps_when_the_phase_reaches_one_exactly():
     edges, _ = run_synapse(params, [], 100 * dt, dt)
     assert np.array_equal(edges, step_synapse(params, [False] * 100, dt)[0])
     assert len(edges) == 25
-
-
-def test_run_chain_validates_before_running():
-    with pytest.raises(ValueError, match="dt must be positive"):
-        run_chain(NeuronParams(), SynapseParams(), 0.1, -1e-5)
-    with pytest.raises(ValueError, match="duration must be positive"):
-        run_chain(NeuronParams(), SynapseParams(), 0.0, 1e-5)
-    with pytest.raises(ConfigurationError):
-        run_chain(NeuronParams(), SynapseParams(f_max=20_000.0), 1.0, 5e-5)

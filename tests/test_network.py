@@ -672,8 +672,8 @@ def test_rings_that_wrap_in_one_row_add_their_pulses_in_start_order(monkeypatch,
     stepped = {}
     delivered = NetworkSim.recurrent_levels
 
-    def spy(self, k=None):
-        exc, inh = delivered(self, k)
+    def spy(self):
+        exc, inh = delivered(self)
         stepped[self.k] = exc[2]
         return exc, inh
 
