@@ -68,7 +68,14 @@ def _write_run(out_dir, traces, command: str, seed: int, metrics: dict,
                              write_s=sw.elapsed), out_dir)
 
 
+def _check_rate(option: str, rate: float) -> None:
+    """Reject a drive rate that is not finite (nan would read as no drive)."""
+    if not math.isfinite(rate):
+        raise ConfigurationError(f"{option} must be finite, got {rate}")
+
+
 def cmd_simulate_neuron(args) -> int:
+    _check_rate("--input-freq", args.input_freq)
     with Stopwatch() as sw:
         cfg = NetworkConfig(n_neurons=1, seed=args.seed, dt=args.dt)
         net = build_network(cfg)
@@ -91,6 +98,7 @@ def cmd_simulate_neuron(args) -> int:
 def cmd_simulate_synapse(args) -> int:
     from .synapse import SynapseParams
 
+    _check_rate("--spike-rate", args.spike_rate)
     with Stopwatch() as sw:
         params = SynapseParams()
         check_duration(args.duration)

@@ -61,6 +61,8 @@ def weighted_drive(input_freq: float, code: int, duration: float,
     """
     if not math.isfinite(duration):
         raise ValueError("duration must be finite")
+    if not math.isfinite(input_freq):
+        raise ValueError("input_freq must be finite")
     if input_freq <= 0:
         return PulseTrain.empty()
     n = int(math.ceil(duration * input_freq))

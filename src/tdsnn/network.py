@@ -12,9 +12,9 @@ depend only on the synapse state at the step's start, so the connections
 need no transport delay to break same-step causality cycles. A ring edge
 is the only event by which one neuron affects another, so runs compute many
 steps as one window of array rows, bit-identical to stepping: each window
-first plans all of its edges and the inputs they give every row, then the
-membranes walk the rows on their own, and a spike whose charge moves its
-ring's edge ends the window after its step.
+first plans all of its edges and the inputs they give every row, then sums
+the membranes down the rows on their own, and a spike whose charge moves
+its ring's edge ends the window after its step.
 """
 
 from __future__ import annotations
@@ -186,13 +186,14 @@ class NetworkSim:
     of the window's edges: each ring's edge row and time follow from its
     folded phase, its phase is folded again from the wrap, its pulses
     start there, the unions of the pulses on each input chain from row to
-    row, and the inputs of every row follow in one pass. The rows are then
-    walked in step order, each membrane row one array operation. A spike
-    whose ring could still reach phase 1 inside the window after its charge
-    (the ring's frequency only falls after it) could make or move that
-    ring's edge, so the window ends after its step and the next window
-    plans from there; no plan is ever redone. The spikes of the committed
-    steps are charged at the window's end, all in one block. A window holds
+    row, and the inputs of every row follow in one pass. The membranes are
+    then summed down the rows, each column restarted where it clamps or
+    fires. A spike whose ring could still reach phase 1 inside the window
+    after its charge (the ring's frequency only falls after it) could make
+    or move that ring's edge, so the window ends after the first such
+    spike's step and the next window plans from there; no plan is ever
+    redone. The spikes of the committed steps are charged at the window's
+    end, all in one block. A window holds
     fewer than v_th / ((r_base + r_exc) * dt) rows, so no neuron fires
     twice in it, fewer than 1 / (f_max * dt) - 1, so no ring wraps twice
     in it, and at most _WINDOW_CELLS / N, so its planes stay in cache.
@@ -204,6 +205,15 @@ class NetworkSim:
     # 0.46 s with 165-row windows and 0.41 s with 65-row ones (2**16
     # cells), against 0.44 s at 2**15 and 0.46 s at 2**17 cells.
     _WINDOW_CELLS = 2 ** 16
+
+    # Neurons up to which _membranes sums its columns instead of walking
+    # the rows. An accumulate down a window costs about 3.5 ns a cell at any
+    # width, a walked row about 1 us of calls plus its cells. Per window,
+    # over every window of one seed-0 run (2-vCPU Xeon, best of 7), the sum
+    # took 227 against 401 us on force_n100's (100, 100) blocks and, under
+    # net_n1000_driven's drive, 427 against 546 us at (165, 200), 609
+    # against 580 us at (165, 300) and 1048 against 396 us at (65, 1000).
+    _SUM_WIDTH = 250
 
     def __init__(self, network: Network, synapse_override: Optional[SynapseParams] = None):
         cfg = network.config
@@ -434,11 +444,12 @@ class NetworkSim:
 
         The fold fills [0], [1] and [5] as if no neuron fired; the plan
         finds every edge in [1], wraps its ring and fills [3] and [4] under
-        all of the window's pulses. The row loop then only adds each rise,
-        clamps and checks the threshold. A spike whose charge could bring
-        its ring's edge into the window, or move it earlier, ends the
-        window after its row; the spikes of the committed rows are charged
-        at the end, all in one block.
+        all of the window's pulses. _membranes then only adds each rise,
+        clamps and checks the threshold, for every row at once. Of the
+        window's spikes, the first whose charge could bring its ring's edge
+        into the window, or move it earlier, ends the window after its row;
+        the spikes of the committed rows are charged at the end, all in one
+        block.
         """
         n, dt, s = self.n, self.dt, self.synapse
         if self._win.shape[1] <= rows:
@@ -483,49 +494,37 @@ class NetworkSim:
         if len(edged):
             self._wrap(edged, edge_row[edged], offset, rows)
         t0 = np.arange(self.k, self.k + rows) * dt  # the steps' start times
-        ext = [e if e is None else np.asarray(e) for e in (ext_exc, ext_inh)]
+        # as float: _plan's maximum of a float plane against bool levels
+        # takes about twice as long as against float ones
+        ext = [e if e is None else np.asarray(e, dtype=float) for e in (ext_exc, ext_inh)]
         channel, union_row, until = self._plan(edge_row, offset, t0, ext)
-        falling = (x < 0.0).any(axis=1).tolist()  # rows that may need the clamp
 
         v[0] = self.v
-        v_th = self.neuron.v_th
-        reach = 1.0 - 1e-9 - (rows - np.arange(rows)) * self._phase_step
-        fired = np.zeros((rows, n), dtype=bool)
-        # the rows as views made once, the loop's three calls bound once
-        vs, xs = list(v), list(x)
-        add, clamp, peak = np.add, np.maximum, np.maximum.reduce
-        for r in range(rows):
-            row = vs[r + 1]
-            add(vs[r], xs[r], out=row)
-            if falling[r]:  # v >= 0, so only a falling membrane can need it
-                clamp(row, 0.0, out=row)
-            if peak(row) < v_th:
-                continue
-            hit = np.greater_equal(row, v_th, out=fired[r])
-            np.subtract(row, v_th, out=row, where=hit)
+        fired = self._membranes(v, x)
+        rs, cs = np.nonzero(fired)  # in step order
+        if len(rs):
+            sv_end, credit = self._charge(sv[rs + 1, cs], v[rs + 1, cs] / rate[rs, cs])
+            folded = phase[rs + 1, cs]  # each ring's phase without its charge
+            spike_phase = folded + credit
             # A spike's charge can only bring its ring's edge into the
             # window or earlier. A ring gains at most f_max * dt of phase
             # per row and from its credit; after the charge its frequency
             # only falls. One that cannot reach phase 1 by the window's end
             # takes its charge there: until then its rows lack the charge,
-            # which only speeds a ring, so they show no false edge. One
-            # that can ends the window after this row.
-            near = hit & (phase[r + 1] >= reach[r])
-            if not near.any():
-                continue
-            ids = np.flatnonzero(near)
-            sv_end, credit = self._charge(sv[r + 1, ids], row[ids] / rate[r, ids])
-            f_next = osc_frequency(sv_end * self._mid_decay, s)
-            if (phase[r + 1, ids] + credit + (rows - 1 - r) * dt * f_next
-                    >= 1.0 - 1e-9).any():
-                rows = r + 1
-                break
-
-        fired = fired[:rows]
-        rs, cs = np.nonzero(fired)
-        if len(rs):
-            sv_end, credit = self._charge(sv[rs + 1, cs], v[rs + 1, cs] / rate[rs, cs])
-            self._refold(rs, cs, rows, sv_end, phase[rs + 1, cs] + credit)
+            # which only speeds a ring, so they show no false edge. The
+            # first that can ends the window after its row.
+            near = np.flatnonzero(folded >= 1.0 - 1e-9 - (rows - rs) * self._phase_step)
+            if len(near):
+                f_next = osc_frequency(sv_end[near] * self._mid_decay, s)
+                moves = (spike_phase[near] + (rows - 1 - rs[near]) * dt * f_next
+                         >= 1.0 - 1e-9)
+                if moves.any():
+                    rows = int(rs[near[moves.argmax()]]) + 1
+                    fired = fired[:rows]
+            done = int(np.searchsorted(rs, rows))  # the committed spikes
+            if done:
+                self._refold(rs[:done], cs[:done], rows, sv_end[:done],
+                             spike_phase[:done])
 
         # Each channel leaves with the until of its last union in the
         # committed rows; the unions follow by channel, then by row.
@@ -539,6 +538,78 @@ class NetworkSim:
         self.edged = edge_row < rows
         self.k += rows
         return fired
+
+    def _membranes(self, v, x) -> np.ndarray:
+        """Fill the membrane rows v[1:] from v[0] under the rises x of the
+        window's steps; returns the steps' fired mask.
+
+        Each step adds its rise, clamps the membrane at 0 and fires at v_th,
+        which it subtracts, as _step does and bit for bit. Up to
+        _SUM_WIDTH neurons one accumulate sums every column down the
+        window, adding in the steps' order. Each column that clamps or
+        fires is fixed in its first such row and summed again from there,
+        and so on until no column has an event left. A clamped membrane
+        stays 0.0 through the rises <= 0 that follow it, so its new sum
+        starts at the first rise above 0. Every round restarts each of its
+        columns at a later row than the last, so the rounds end. Wider
+        windows walk their rows in step order, one array operation per row.
+        """
+        rows, n = x.shape
+        v_th = self.neuron.v_th
+        if n > self._SUM_WIDTH:
+            fired = np.zeros((rows, n), dtype=bool)
+            falling = (x < 0.0).any(axis=1).tolist()  # rows that may need the clamp
+            # the rows as views made once, the loop's three calls bound once
+            vs, xs = list(v), list(x)
+            add, clamp, peak = np.add, np.maximum, np.maximum.reduce
+            for r in range(rows):
+                row = vs[r + 1]
+                add(vs[r], xs[r], out=row)
+                if falling[r]:  # v >= 0, so only a falling membrane can need it
+                    clamp(row, 0.0, out=row)
+                if peak(row) >= v_th:
+                    hit = np.greater_equal(row, v_th, out=fired[r])
+                    np.subtract(row, v_th, out=row, where=hit)
+            return fired
+
+        after = v[1:]  # the membrane after each step
+        after[...] = x
+        np.add.accumulate(v, axis=0, out=v)
+        event = after < 0.0
+        event |= after >= v_th
+        step = np.arange(rows)[:, None]
+        cols = np.arange(n)  # the columns of event
+        while True:  # each round restarts its columns at later rows
+            first = event.argmax(axis=0)
+            has = np.flatnonzero(event[first, np.arange(len(cols))])
+            if not len(has):
+                break
+            cols, at = cols[has], first[has]
+            k = np.arange(len(cols))
+            total = after[at, cols]
+            fire = total >= v_th
+            rise = x[:, cols]
+            later = step > at
+            start = at  # the row the new sum starts from, set to its value
+            if not fire.all():
+                up = rise > 0.0
+                up &= later
+                to = up.argmax(axis=0)  # the first rise above 0 after a clamp
+                to[~up[to, k]] = rows
+                start = np.where(fire, at, to - 1)
+            # 0.0, the sum's identity, up to the start; the rises after it
+            run = np.where(step < start, 0.0, rise)
+            run[start, k] = np.where(fire, total - v_th, 0.0)
+            np.add.accumulate(run, axis=0, out=run)
+            later[at, k] = True  # the rows that take the new sum
+            old = after[:, cols]
+            np.copyto(old, run, where=later)
+            after[:, cols] = old
+            event = run < 0.0  # zeros before the start are no event
+            event |= run >= v_th
+            event[start, k] = False  # set, not summed
+        # a step fires where its sum before the clamp reaches v_th
+        return np.add(v[:-1], x) >= v_th
 
     def _wrap(self, ids, edge_row, offset, end: int) -> None:
         """Wrap the rings ids in their edge rows: set offset[ids], the time
@@ -699,7 +770,9 @@ class Recorder:
         sim = self.sim
         steps = np.concatenate(self._spike_steps or [np.empty(0, dtype=np.int64)])
         ids = np.concatenate(self._spike_ids or [np.empty(0, dtype=np.intp)])
-        spikes = [steps[ids == i] * sim.dt for i in range(sim.n)]
+        order = np.argsort(ids, kind="stable")  # by neuron, each in step order
+        spikes = np.split(steps[order] * sim.dt,
+                          np.cumsum(np.bincount(ids, minlength=sim.n))[:-1])
         n = self.n_samples
         return TraceSet(dt=sim.dt, duration=duration, n_neurons=sim.n,
                         spikes=spikes, sample_times=self.sample_times[:n],

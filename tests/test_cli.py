@@ -89,6 +89,19 @@ def test_simulate_duration_not_finite_exits_1(argv, message, capsys):
     assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["simulate-neuron", "--input-freq=inf"], "--input-freq must be finite, got inf"),
+    # nan > 0 is False: without the check the neuron would run free
+    (["simulate-neuron", "--input-freq=nan"], "--input-freq must be finite, got nan"),
+    (["simulate-synapse", "--spike-rate=inf"], "--spike-rate must be finite, got inf"),
+    # and the synapse would see no spikes
+    (["simulate-synapse", "--spike-rate=nan"], "--spike-rate must be finite, got nan"),
+])
+def test_simulate_rate_not_finite_exits_1(argv, message, capsys):
+    assert main(argv) == 1
+    assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+
+
 @pytest.mark.parametrize("duration, message", [
     ("inf", "duration must be finite"),
     ("nan", "duration must be positive"),

@@ -68,6 +68,12 @@ def test_pulse_train_builders_reject_a_duration_that_is_not_finite(build):
     assert len(build(0.05)) == 5
 
 
+def test_weighted_drive_rejects_a_rate_that_is_not_finite():
+    for rate in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError, match="input_freq must be finite"):
+            weighted_drive(rate, 12, 1.0)
+
+
 def test_calibrate_free_run_only_closed_form():
     result = calibrate({"free_run_hz": 200.0})
     assert result.neuron.r_base == pytest.approx(0.5 * 200.0)

@@ -895,3 +895,133 @@ def test_advance_takes_external_levels_as_nested_lists():
         oracle.step(ext[k], ext[k, ::-1])
     for name in ("v", "sv", "sphase"):
         assert getattr(sim, name).tobytes() == getattr(oracle, name).tobytes(), name
+
+
+# ---------------------------------------------------------------------------
+# The membrane pass of a window against the row loop it replaced
+# ---------------------------------------------------------------------------
+
+def membranes_by_rows(v, x, v_th):
+    """The window's membrane loop as the kernel walked it before the
+    columns were summed: one row per step, each added, clamped at 0 where
+    the row falls, and fired at v_th."""
+    rows, n = x.shape
+    falling = (x < 0.0).any(axis=1).tolist()
+    fired = np.zeros((rows, n), dtype=bool)
+    vs, xs = list(v), list(x)
+    for r in range(rows):
+        row = vs[r + 1]
+        np.add(vs[r], xs[r], out=row)
+        if falling[r]:
+            np.maximum(row, 0.0, out=row)
+        if np.maximum.reduce(row) < v_th:
+            continue
+        hit = np.greater_equal(row, v_th, out=fired[r])
+        np.subtract(row, v_th, out=row, where=hit)
+    return fired
+
+
+def membrane_cases():
+    """(v0, rises) per case: seeded random blocks, then blocks built for the
+    events the pass must restart at. v_th = 0.5."""
+    rng = np.random.default_rng(7)
+    cases = {}
+    for i, (rows, n) in enumerate([(100, 100), (40, 7), (1, 5), (65, 300)]):
+        cases[f"random{i}"] = (rng.uniform(0.0, 0.5, n),
+                               rng.uniform(-0.1, 0.08, (rows, n)))
+    # the kernel's own rises: base, excitatory and inhibitory rates times dt
+    p, dt = NeuronParams(), 1e-5
+    x = (p.r_base + p.r_exc * (rng.random((150, 60)) < 0.5)
+         - p.r_inh * (rng.random((150, 60)) < 0.2)) * dt
+    cases["kernel_rates"] = (rng.uniform(0.45, 0.5, 60), x)
+
+    # clamp runs with rises of exactly 0.0 and -0.0 inside and after them
+    x = np.full((30, 4), 0.01)
+    x[3:9] = -0.2
+    x[5, 1] = x[12:15, 2] = 0.0
+    x[6, 0] = x[15:18, 3] = -0.0
+    x[20:22] = -0.0
+    x[22:24, :2] = -0.3
+    cases["clamp_runs_and_zeros"] = (np.array([0.05, 0.0, 0.3, 0.1]), x)
+    cases["v0_zero"] = (np.zeros(6), rng.uniform(-0.02, 0.03, (50, 6)))
+
+    # a fire in row 0 and one in the last row
+    x = np.full((20, 3), 0.01)
+    cases["fire_first_and_last_row"] = (np.array([0.495, 0.305, 0.0]), x)
+    # a fire after a clamp, and a clamp after a fire
+    x = np.full((40, 2), 0.02)
+    x[2:5, 0] = -0.3
+    x[10:13, 1] = -0.4
+    cases["fire_after_clamp_and_clamp_after_fire"] = (np.array([0.1, 0.45]), x)
+    # a rise above v_th leaves a fired membrane at v_th or more, which
+    # fires again only in the next row
+    x = np.full((10, 2), 0.01)
+    x[3] = 0.7
+    cases["rise_above_threshold"] = (np.array([0.4, 0.0]), x)
+    # a broadcast inhibitory pulse holds every column at 0, as the
+    # reservoir's feedback does, between rising stretches
+    x = rng.uniform(0.001, 0.003, (90, 50))
+    x[20:40] -= 0.03
+    x[60:75] -= 0.03
+    cases["broadcast_inhibition"] = (rng.uniform(0.4, 0.5, 50), x)
+    return cases
+
+
+MEMBRANE_CASES = membrane_cases()
+
+
+@pytest.fixture(params=["sum", "walk"])
+def membrane_pass(request, monkeypatch):
+    """A kernel whose _membranes takes the given branch at any width."""
+    monkeypatch.setattr(NetworkSim, "_SUM_WIDTH", 10 ** 9 if request.param == "sum" else 0)
+    return NetworkSim(build_network(NetworkConfig(n_neurons=1)))
+
+
+@pytest.mark.parametrize("case", list(MEMBRANE_CASES))
+def test_membranes_match_the_row_loop(case, membrane_pass):
+    v0, x = MEMBRANE_CASES[case]
+    v_th = membrane_pass.neuron.v_th
+    expected = np.empty((len(x) + 1, x.shape[1]))
+    expected[0] = v0
+    expected_fired = membranes_by_rows(expected, x, v_th)
+    v = np.full_like(expected, np.nan)
+    v[0] = v0
+    fired = membrane_pass._membranes(v, x.copy())
+    assert v.tobytes() == expected.tobytes()
+    assert fired.dtype == bool and fired.tobytes() == expected_fired.tobytes()
+    if case == "fire_first_and_last_row":
+        assert fired[0, 0] and fired[-1, 1]
+    if case == "rise_above_threshold":
+        assert fired[3:5, 0].all()
+    if case == "broadcast_inhibition":
+        assert (v[40] == 0.0).all() and (v[75] == 0.0).all() and fired[:20].any()
+
+
+def test_external_inhibition_that_clamps_every_membrane_matches_steps(membrane_pass,
+                                                                      kernel_calls):
+    # One inhibitory level for all neurons, high for 20 steps inside a
+    # window, clamps every membrane at 0; the windows match single steps
+    # bit for bit.
+    net = build_network(NetworkConfig(n_neurons=30, connection_probability=0.2, seed=3))
+    n_steps = 1200
+    inh = np.zeros(n_steps, dtype=bool)
+    inh[10:30] = True
+    sim, oracle = NetworkSim(net), NetworkSim(net)
+    oracle.v[:] = sim.v[:] = np.linspace(0.0, 0.06, 30)
+    v, fired = [], []
+    for k in range(n_steps):
+        fired.append(oracle.step(None, inh[k]))
+        v.append(oracle.v)
+    recorder = Recorder(sim, n_steps, 1)
+    sim.advance(n_steps, None, inh, recorder)
+    traces = recorder.traces(n_steps * sim.dt)
+    assert traces.v_mem[1:].tobytes() == np.array(v).tobytes()
+    steps, ids = np.nonzero(np.array(fired))
+    assert [s.tobytes() for s in traces.spikes] == \
+        [((steps[ids == i] + 1) * sim.dt).tobytes() for i in range(sim.n)]
+    for name in ("sv", "sphase"):
+        assert getattr(sim, name).tobytes() == getattr(oracle, name).tobytes(), name
+    assert (np.array(v)[29] == 0.0).all() and len(steps)
+    # the pulse falls inside one window
+    ends = np.cumsum([kept for _, kept, _ in kernel_calls])
+    assert not ((ends > 10) & (ends < 30)).any()
