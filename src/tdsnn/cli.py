@@ -26,6 +26,7 @@ from .network import NetworkConfig, TraceSet, build_network, simulate
 from .reservoir import RlsState, evaluate, train_force
 from .pulses import check_duration
 from .traceio import RunSummary, Stopwatch, write_summary, write_traces
+from .weight import N_CODES
 
 
 class _Parser(argparse.ArgumentParser):
@@ -283,7 +284,8 @@ def build_parser() -> _Parser:
     p.add_argument("--duration", type=float, default=1.0)
     p.add_argument("--input-freq", type=float, default=0.0,
                    help="source square-wave frequency in Hz (0 = free run)")
-    p.add_argument("--weight-code", type=int, default=12)
+    p.add_argument("--weight-code", type=int, default=12, choices=range(N_CODES),
+                   metavar=f"0-{N_CODES - 1}")
     p.add_argument("--polarity", choices=("exc", "inh"), default="exc")
     p.add_argument("--dt", type=float, default=1e-5)
     p.add_argument("--seed", type=int, default=0)

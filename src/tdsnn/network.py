@@ -68,6 +68,8 @@ class NetworkConfig:
             raise ConfigurationError("excitatory_fraction must be in [0, 1]")
         if not 0 <= self.code_min <= self.code_max < N_CODES:
             raise ConfigurationError("need 0 <= code_min <= code_max <= 15")
+        if self.seed < 0:
+            raise ConfigurationError(f"seed must be >= 0, got {self.seed}")
         check_dt(self.synapse, self.dt)
         if self.dt > self.neuron.spike_width:
             raise ConfigurationError(
@@ -162,6 +164,40 @@ class TraceSet:
         return np.array([len(s) for s in self.spikes])
 
 
+# Columns up to which _scan folds a block with one accumulate. NumPy
+# accumulates down axis 0 one strided column at a time, about 4 ns a cell
+# at any width, while a loop pays about 0.7 us of calls a row plus its
+# cells. Per block (2-vCPU Xeon, best of 7, add / multiply), the
+# accumulate against the loop took 39/45 against 78/87 us at (101, 100),
+# 52/56 against 50/56 us at (66, 200), 75/83 against 47/56 us at (66, 300)
+# and 252/270 against 82/70 us at (66, 1000).
+_SCAN_WIDTH = 200
+
+
+def _scan(ufunc, block) -> None:
+    """Fold block in place down its rows in row order: row r becomes
+    ufunc(row r - 1, row r). Up to _SCAN_WIDTH columns one accumulate does
+    it, above a loop of one call a row; both give the same bytes."""
+    if block.shape[1] <= _SCAN_WIDTH:
+        ufunc.accumulate(block, axis=0, out=block)
+    else:
+        rows = list(block)
+        for prev, row in zip(rows, rows[1:]):
+            ufunc(prev, row, out=row)
+
+
+def _rescan(ufunc, block, start, first) -> np.ndarray:
+    """Fold each column of block again from its row start on, where it
+    takes the value first; returns the mask of each column's rows from its
+    start on. The rows before a start hold ufunc's identity, which the
+    fold keeps."""
+    after = np.arange(len(block))[:, None] >= start
+    np.copyto(block, ufunc.identity, where=~after)
+    block[start, np.arange(block.shape[1])] = first
+    _scan(ufunc, block)
+    return after
+
+
 class NetworkSim:
     """Stepping kernel over one built network.
 
@@ -188,10 +224,11 @@ class NetworkSim:
     start there, the unions of the pulses on each input chain from row to
     row, and the inputs of every row follow in one pass. The membranes are
     then summed down the rows, each column restarted where it clamps or
-    fires. A spike whose ring could still reach phase 1 inside the window
-    after its charge (the ring's frequency only falls after it) could make
-    or move that ring's edge, so the window ends after the first such
-    spike's step and the next window plans from there; no plan is ever
+    fires. Each of these folds down the rows, of v_syn, phase or membrane,
+    is one _scan. A spike whose ring could still reach phase 1 inside the
+    window after its charge (the ring's frequency only falls after it)
+    could make or move that ring's edge, so the window ends after the first
+    such spike's step and the next window plans from there; no plan is ever
     redone. The spikes of the committed steps are charged at the window's
     end, all in one block. A window holds
     fewer than v_th / ((r_base + r_exc) * dt) rows, so no neuron fires
@@ -205,15 +242,6 @@ class NetworkSim:
     # 0.46 s with 165-row windows and 0.41 s with 65-row ones (2**16
     # cells), against 0.44 s at 2**15 and 0.46 s at 2**17 cells.
     _WINDOW_CELLS = 2 ** 16
-
-    # Neurons up to which _membranes sums its columns instead of walking
-    # the rows. An accumulate down a window costs about 3.5 ns a cell at any
-    # width, a walked row about 1 us of calls plus its cells. Per window,
-    # over every window of one seed-0 run (2-vCPU Xeon, best of 7), the sum
-    # took 227 against 401 us on force_n100's (100, 100) blocks and, under
-    # net_n1000_driven's drive, 427 against 546 us at (165, 200), 609
-    # against 580 us at (165, 300) and 1048 against 396 us at (65, 1000).
-    _SUM_WIDTH = 250
 
     def __init__(self, network: Network, synapse_override: Optional[SynapseParams] = None):
         cfg = network.config
@@ -260,7 +288,7 @@ class NetworkSim:
         self._max_rows = max(min(math.floor(p.v_th / ((p.r_base + p.r_exc) * self.dt)) - 1,
                                  math.floor((1.0 - 1e-9) / self._phase_step) - 1,
                                  self._WINDOW_CELLS // self.n), 1)
-        self._win = np.empty((6, 2, self.n))  # window rows, grown on demand
+        self._win = np.empty((6, self._max_rows + 1, self.n))  # window rows
 
     @property
     def t(self) -> float:
@@ -442,47 +470,30 @@ class NetworkSim:
         [2]; [3] and [4] the membrane rate and rise of step r, and [5] its
         ring frequency. After the call, [0] and [2] stay valid.
 
-        The fold fills [0], [1] and [5] as if no neuron fired; the plan
-        finds every edge in [1], wraps its ring and fills [3] and [4] under
-        all of the window's pulses. _membranes then only adds each rise,
-        clamps and checks the threshold, for every row at once. Of the
-        window's spikes, the first whose charge could bring its ring's edge
-        into the window, or move it earlier, ends the window after its row;
-        the spikes of the committed rows are charged at the end, all in one
-        block.
+        The fold fills [0], [1] and [5] of every ring as if no neuron
+        fired; the plan finds every edge in [1], wraps its ring and fills
+        [3] and [4] under all of the window's pulses. _membranes then only
+        adds each rise, clamps and checks the threshold, for every row at
+        once. Of the window's spikes, the first whose charge could bring its
+        ring's edge into the window, or move it earlier, ends the window
+        after its row; the spikes of the committed rows are charged at the
+        end, all in one block.
         """
         n, dt, s = self.n, self.dt, self.synapse
-        if self._win.shape[1] <= rows:
-            self._win = None  # free the old rows before the new ones are made
-            self._win = np.empty((6, rows + 1, n))
         sv, phase, v = self._win[:3, :rows + 1]
         rate, x = self._win[3:5, :rows]
         freq = self._win[5, :rows]
 
         # Synapses as if no neuron fired: v_syn decays step by step, and the
-        # ring phase integrates the frequency at each step's midpoint. A ring
-        # below the oscillation onset and below phase 1 stays silent, f = 0
-        # in every row. Folding only the others pays for gathering them once
-        # half of the rings are silent (65-row windows at N=1000, 2-vCPU
-        # Xeon: 0.56 against 0.63 ms at half, 1.5 against 0.5 ms at 4%).
+        # ring phase integrates the frequency at each step's midpoint.
         sv[0] = self.sv
         sv[1:] = self._decay
-        np.multiply.accumulate(sv, axis=0, out=sv)
-        live = np.flatnonzero((self.sv >= s.v_osc) | (self.sphase >= 1.0))
-        if 2 * len(live) > n:
-            live, f, p = slice(None), freq, phase
-        else:
-            freq[...] = 0.0
-            phase[...] = self.sphase
-            f, p = np.empty((rows, len(live))), np.empty((rows + 1, len(live)))
-        np.multiply(sv[:-1, live], self._mid_decay, out=f)
-        osc_frequency(f, s, out=f)
-        p[0] = self.sphase[live]
-        np.multiply(f, dt, out=p[1:])
-        np.add.accumulate(p, axis=0, out=p)
-        if p is not phase:
-            freq[:, live] = f
-            phase[:, live] = p
+        _scan(np.multiply, sv)
+        np.multiply(sv[:-1], self._mid_decay, out=freq)
+        osc_frequency(freq, s, out=freq)
+        phase[0] = self.sphase
+        np.multiply(freq, dt, out=phase[1:])
+        _scan(np.add, phase)
 
         # The plan: each ring's edge row (rows for none), its wrap and its
         # pulses, and the membrane inputs of every row under them. Before
@@ -544,37 +555,20 @@ class NetworkSim:
         window's steps; returns the steps' fired mask.
 
         Each step adds its rise, clamps the membrane at 0 and fires at v_th,
-        which it subtracts, as _step does and bit for bit. Up to
-        _SUM_WIDTH neurons one accumulate sums every column down the
-        window, adding in the steps' order. Each column that clamps or
-        fires is fixed in its first such row and summed again from there,
-        and so on until no column has an event left. A clamped membrane
-        stays 0.0 through the rises <= 0 that follow it, so its new sum
-        starts at the first rise above 0. Every round restarts each of its
-        columns at a later row than the last, so the rounds end. Wider
-        windows walk their rows in step order, one array operation per row.
+        which it subtracts, as _step does and bit for bit. One scan sums
+        every column down the window, adding in the steps' order. Each
+        column that clamps or fires is fixed in its first such row and
+        summed again from there, and so on until no column has an event
+        left. A clamped membrane stays 0.0 through the rises <= 0 that
+        follow it, so its new sum starts at the first rise above 0. Every
+        round restarts each of its columns at a later row than the last, so
+        the rounds end.
         """
         rows, n = x.shape
         v_th = self.neuron.v_th
-        if n > self._SUM_WIDTH:
-            fired = np.zeros((rows, n), dtype=bool)
-            falling = (x < 0.0).any(axis=1).tolist()  # rows that may need the clamp
-            # the rows as views made once, the loop's three calls bound once
-            vs, xs = list(v), list(x)
-            add, clamp, peak = np.add, np.maximum, np.maximum.reduce
-            for r in range(rows):
-                row = vs[r + 1]
-                add(vs[r], xs[r], out=row)
-                if falling[r]:  # v >= 0, so only a falling membrane can need it
-                    clamp(row, 0.0, out=row)
-                if peak(row) >= v_th:
-                    hit = np.greater_equal(row, v_th, out=fired[r])
-                    np.subtract(row, v_th, out=row, where=hit)
-            return fired
-
         after = v[1:]  # the membrane after each step
         after[...] = x
-        np.add.accumulate(v, axis=0, out=v)
+        _scan(np.add, v)
         event = after < 0.0
         event |= after >= v_th
         step = np.arange(rows)[:, None]
@@ -588,22 +582,17 @@ class NetworkSim:
             k = np.arange(len(cols))
             total = after[at, cols]
             fire = total >= v_th
-            rise = x[:, cols]
-            later = step > at
-            start = at  # the row the new sum starts from, set to its value
+            run = x[:, cols]  # the rises, summed again from each start row
+            start = at
             if not fire.all():
-                up = rise > 0.0
-                up &= later
+                up = run > 0.0
+                up &= step > at
                 to = up.argmax(axis=0)  # the first rise above 0 after a clamp
                 to[~up[to, k]] = rows
                 start = np.where(fire, at, to - 1)
-            # 0.0, the sum's identity, up to the start; the rises after it
-            run = np.where(step < start, 0.0, rise)
-            run[start, k] = np.where(fire, total - v_th, 0.0)
-            np.add.accumulate(run, axis=0, out=run)
-            later[at, k] = True  # the rows that take the new sum
+            _rescan(np.add, run, start, np.where(fire, total - v_th, 0.0))
             old = after[:, cols]
-            np.copyto(old, run, where=later)
+            np.copyto(old, run, where=step >= at)  # a clamp's rows hold 0.0 up to start
             after[:, cols] = old
             event = run < 0.0  # zeros before the start are no event
             event |= run >= v_th
@@ -615,23 +604,14 @@ class NetworkSim:
         """Wrap the rings ids in their edge rows: set offset[ids], the time
         into the step at which each reaches phase 1, and sum its phase
         again from the next state row on, 1 lower, up to state row end:
-        each row adds its step's frequency times dt.
-
-        The block's rows before a column's restart hold 0.0, the identity
-        of the sum, and then take their old values back.
-        """
+        each row adds its step's frequency times dt."""
         phase, freq = self._win[1], self._win[5]
         # a wrap carried over from a spike late in the last step starts at 0
         offset[ids] = (np.maximum(1.0 - phase[edge_row, ids], 0.0)
                        / np.maximum(freq[edge_row, ids], self.synapse.f_min))
-        q = edge_row + 1  # the restart's state row
-        lo = int(q.min())
+        lo = int(edge_row.min()) + 1  # the first restart's state row
         block = np.multiply(freq[lo - 1:end, ids], self.dt)
-        rel = q - lo  # the restart's row in the block
-        after = np.arange(len(block))[:, None] >= rel
-        np.copyto(block, 0.0, where=~after)
-        block[rel, np.arange(len(ids))] = phase[q, ids] - 1.0
-        np.add.accumulate(block, axis=0, out=block)
+        after = _rescan(np.add, block, edge_row + 1 - lo, phase[edge_row + 1, ids] - 1.0)
         old = phase[lo:end + 1, ids]
         np.copyto(old, block, where=after)
         phase[lo:end + 1, ids] = old
@@ -698,11 +678,10 @@ class NetworkSim:
         ring's phase is spike_phase.
 
         Each charged column is folded again from its spike on, in one block
-        of state rows whose rows before a column's spike hold identity
-        elements: 1.0 in the v_syn product and 0.0 in the phase sum; those
-        rows then take their old values back. The block lives in the level
-        planes, which the window no longer needs once rate has been read,
-        and only the last phase row is kept.
+        of state rows; the block's rows before a column's spike then take
+        their old values back. The block lives in the level planes, which
+        the window no longer needs once rate has been read, and only the
+        last phase row is kept.
         """
         sv, phase = self._win[:2]
         lo = int(rs[0]) + 1  # first state row that changes
@@ -710,13 +689,9 @@ class NetworkSim:
         old, new = (plane.reshape(-1)[:shape[0] * shape[1]].reshape(shape)
                     for plane in self._win[3:5])
         rel = rs + 1 - lo    # the spike's state row in the block
-        at = (rel, np.arange(len(cs)))
-        after = np.arange(shape[0])[:, None] >= rel
 
-        new[...] = 1.0
-        np.copyto(new, self._decay, where=after)
-        new[at] = charged
-        np.multiply.accumulate(new, axis=0, out=new)
+        new[...] = self._decay
+        after = _rescan(np.multiply, new, rel, charged)
         np.take(sv[lo:end + 1], cs, axis=1, out=old, mode="clip")
         np.copyto(old, new, where=after)
         sv[lo:end + 1, cs] = old
@@ -724,9 +699,7 @@ class NetworkSim:
         f = np.multiply(old[:-1], self._mid_decay, out=new[1:])
         osc_frequency(f, self.synapse, out=f)
         f *= self.dt
-        np.copyto(new, 0.0, where=~after)
-        new[at] = spike_phase
-        np.add.accumulate(new, axis=0, out=new)
+        _rescan(np.add, new, rel, spike_phase)
         phase[end, cs] = new[-1]
 
 

@@ -117,6 +117,8 @@ class TargetSpec:
             raise ConfigurationError(f"unknown target kind {self.kind!r}")
         if self.frequency <= 0:
             raise ConfigurationError("target frequency must be positive")
+        if self.amplitude == 0:
+            raise ConfigurationError("target amplitude must not be 0 (a constant target)")
 
     def value(self, t):
         return self.amplitude * np.sin(2.0 * math.pi * self.frequency * t)

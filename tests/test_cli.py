@@ -114,21 +114,70 @@ def test_network_run_duration_not_finite_exits_1(duration, message, tmp_path, ca
     assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
 
 
+def _config_with(tmp_path, line):
+    """A config file of the defaults with the row of line's key replaced."""
+    key = line.split()[0]
+    text = serialize_config(SimulationConfig())
+    config = tmp_path / "run.toml"
+    config.write_text("\n".join(line if row.startswith(key + " ") else row
+                                for row in text.splitlines()))
+    return config
+
+
 @pytest.mark.parametrize("command, line, message", [
     (["reservoir", "train"], "learn_interval = inf",
      "[reservoir] learn_interval must be finite"),
     (["network", "run"], "dt = nan", "[network] dt must be finite"),
 ])
 def test_non_finite_config_value_exits_1(command, line, message, tmp_path, capsys):
-    key = line.split()[0]
-    text = serialize_config(SimulationConfig())
-    text = "\n".join(line if row.startswith(key + " ") else row
-                     for row in text.splitlines())
-    config = tmp_path / "run.toml"
-    config.write_text(text)
-    argv = command + ["--config", str(config), "--out", str(tmp_path / "out")]
+    argv = command + ["--config", str(_config_with(tmp_path, line)),
+                      "--out", str(tmp_path / "out")]
     assert main(argv) == 1
     assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+
+
+@pytest.mark.parametrize("line, option, message", [
+    ("seed = -1", [], "[network] seed must be >= 0, got -1"),
+    ("seed = 0", ["--seed", "-3"], "seed must be >= 0, got -3"),
+], ids=["config", "option"])
+def test_negative_seed_exits_1_naming_the_seed(line, option, message, tmp_path, capsys):
+    argv = ["network", "run", "--config", str(_config_with(tmp_path, line)),
+            "--duration", "0.01"] + option
+    assert main(argv) == 1
+    assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["--weight-code", "99"],  # free run: no drive would check the code
+    ["--weight-code", "-1", "--input-freq", "100"],
+], ids=["free_run", "driven"])
+def test_weight_code_out_of_range_exits_1(argv, tmp_path, capsys):
+    out = tmp_path / "trace"
+    with pytest.raises(SystemExit) as exit_:
+        main(["simulate-neuron", "--duration", "0.01", "--trace", str(out)] + argv)
+    assert exit_.value.code == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err[-1].startswith(f"error: argument --weight-code: invalid choice: {argv[1]}")
+    assert not out.exists()
+
+
+def test_zero_target_amplitude_exits_1_before_simulating(tmp_path, capsys, monkeypatch):
+    # A constant target has no NRMSE; both commands reject it before they
+    # build a network.
+    def fail(*args, **kwargs):
+        raise AssertionError("simulated a constant target")
+
+    monkeypatch.setattr(cli, "train_force", fail)
+    config = _config_with(tmp_path, "target_amplitude = 0.0")
+    weights = tmp_path / "weights.json"
+    weights.write_text(json.dumps({"w": [0.0] * SimulationConfig().network.n_neurons,
+                                   "config": config.read_text()}))
+    message = "error: [reservoir] target amplitude must not be 0 (a constant target)"
+    for argv in (["reservoir", "train", "--config", str(config),
+                  "--out", str(tmp_path / "out")],
+                 ["reservoir", "eval", "--weights", str(weights)]):
+        assert main(argv) == 1
+        assert capsys.readouterr().err.splitlines() == [message]
 
 
 @pytest.mark.parametrize("text, reason", [

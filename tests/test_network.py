@@ -8,6 +8,7 @@ from tdsnn import (ConfigurationError, Connection, Network, NetworkConfig,
                    NetworkSim, NeuronParams, PulseTrain, SynapseParams,
                    WeightParams, build_network, periodic_train, pulse_width,
                    simulate)
+from tdsnn import network
 from tdsnn.network import Recorder, _external_level_arrays
 from tdsnn.measure import run_neuron
 from tdsnn.synapse import osc_frequency
@@ -898,8 +899,20 @@ def test_advance_takes_external_levels_as_nested_lists():
 
 
 # ---------------------------------------------------------------------------
-# The membrane pass of a window against the row loop it replaced
+# Every fold down a window's rows, by accumulate and by row loop
 # ---------------------------------------------------------------------------
+
+def test_advance_with_row_loop_scans_matches_steps(monkeypatch, kernel_calls):
+    # With _SCAN_WIDTH at 0 every scan of a window loops over its rows: the
+    # no-spike fold, the wraps of the ring edges, the refolds of the
+    # charged synapses and the membrane sums. In this small recurrent
+    # network rings wrap inside windows, and spikes cut windows short.
+    monkeypatch.setattr(network, "_SCAN_WIDTH", 0)
+    net = build_network(NetworkConfig(n_neurons=10, connection_probability=0.3, seed=0))
+    assert_advance_matches_steps(lambda: NetworkSim(net), [10000])
+    assert any(edged for _, _, edged in kernel_calls)
+    assert any(kept < rows for rows, kept, _ in kernel_calls)  # a cut, after a spike
+
 
 def membranes_by_rows(v, x, v_th):
     """The window's membrane loop as the kernel walked it before the
@@ -972,8 +985,9 @@ MEMBRANE_CASES = membrane_cases()
 
 @pytest.fixture(params=["sum", "walk"])
 def membrane_pass(request, monkeypatch):
-    """A kernel whose _membranes takes the given branch at any width."""
-    monkeypatch.setattr(NetworkSim, "_SUM_WIDTH", 10 ** 9 if request.param == "sum" else 0)
+    """A kernel whose scans sum each block with one accumulate ("sum") or
+    walk its rows in a loop ("walk") at any width."""
+    monkeypatch.setattr(network, "_SCAN_WIDTH", 10 ** 9 if request.param == "sum" else 0)
     return NetworkSim(build_network(NetworkConfig(n_neurons=1)))
 
 

@@ -240,6 +240,9 @@ def test_target_spec_validation():
         TargetSpec(kind="square")
     with pytest.raises(ConfigurationError):
         TargetSpec(frequency=0.0)
+    with pytest.raises(ConfigurationError, match="target amplitude must not be 0"):
+        TargetSpec(amplitude=0.0)
+    assert TargetSpec(amplitude=-0.5).value(0.025) == pytest.approx(-0.5)  # a flipped sine is fine
 
 
 def test_train_config_validation():
