@@ -7,6 +7,9 @@ the synapse under test is stepped at a fixed dt. run_neuron and run_synapse
 (from the neuron and synapse modules) take the steps of neuron_step and
 synapse_step, bit for bit, but pay per event, not per step. A neuron
 feeding its synapse is a one-neuron NetworkSim.
+
+SciPy's optimizer loads on the first calibration fit, not on import, so
+runs that never calibrate do not pay for it.
 """
 
 from __future__ import annotations
@@ -15,7 +18,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from .errors import CalibrationError
 # neuron_step and synapse_step are the per-step reference that the run_*
@@ -100,7 +102,12 @@ class CalibrationResult:
 
 
 def _fit_synapse(rates, targets, base: SynapseParams) -> SynapseParams:
-    """Least-squares fit of (delta_up, tau_leak, v_osc) to the anchor map."""
+    """Least-squares fit of (delta_up, tau_leak, v_osc) to the anchor map.
+
+    scipy.optimize is imported here, on the first fit: it takes longer to
+    load than the rest of the package, and nothing else uses it.
+    """
+    from scipy.optimize import least_squares
 
     def resid(x):
         p = replace(base, delta_up=x[0], tau_leak=x[1], v_osc=x[2])

@@ -40,6 +40,10 @@ class PulseTrain:
             raise ValueError("rises and widths must be 1-D arrays of equal length")
         if len(self.rises) == 0:
             return
+        # nan compares False, so the checks below would let it by
+        for name, values in (("rise times", self.rises), ("widths", self.widths)):
+            if not np.isfinite(values).all():
+                raise ValueError(f"pulse {name} must be finite")
         if np.any(self.widths <= 0):
             raise ValueError("pulse widths must be positive")
         if np.any(np.diff(self.rises) <= 0):
@@ -81,8 +85,10 @@ class PulseTrain:
 def periodic_train(freq_hz: float, width: float, duration: float,
                    start: float = 0.0) -> PulseTrain:
     """Regular pulse train at a fixed frequency, pulses within [start, duration)."""
-    if not math.isfinite(duration):
-        raise ValueError("duration must be finite")
+    for name, value in (("freq_hz", freq_hz), ("width", width),
+                        ("duration", duration), ("start", start)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite")
     if freq_hz <= 0:
         return PulseTrain.empty()
     if width >= 1.0 / freq_hz:

@@ -12,6 +12,7 @@ synapse.csv, per neuron of spikes.csv, and for the whole of output.csv.
 from __future__ import annotations
 
 import json
+import platform
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -101,9 +102,27 @@ def read_csv_columns(path) -> dict:
             for h, column in zip(header, columns)}
 
 
+def environment() -> dict:
+    """Python, NumPy and SciPy versions and the platform of this process.
+
+    The SciPy version comes from the installed package's metadata, so the
+    stamp does not import SciPy. importlib.metadata loads here, not with
+    the package, since most runs write no summary.
+    """
+    import importlib.metadata
+
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "scipy": importlib.metadata.version("scipy"),
+        "platform": platform.platform(),
+    }
+
+
 @dataclass
 class RunSummary:
-    """Scalar record of one run: config echo, metrics, seed, wall clock.
+    """Scalar record of one run: config echo, metrics, seed, wall clock and
+    the environment it ran in.
 
     wall_clock_s covers building and simulating; write_s is the time spent
     writing the trace CSVs, which wall_clock_s leaves out.
@@ -130,6 +149,7 @@ class RunSummary:
             "config_echo": self.config_echo,
             "wall_clock_s": round(self.wall_clock_s, 3),
             "write_s": round(self.write_s, 3),
+            "environment": environment(),
         }
         return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 

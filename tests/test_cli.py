@@ -1,7 +1,10 @@
+import importlib.metadata
 import json
+import platform
 import re
 import warnings
 
+import numpy as np
 import pytest
 
 from tdsnn import cli
@@ -20,6 +23,11 @@ def test_simulate_neuron_writes_traces_and_summary(tmp_path, capsys):
     summary = json.loads((out / "summary.json").read_text())
     assert summary["command"] == "simulate-neuron"
     assert summary["write_s"] >= 0
+    environment = summary["environment"]
+    assert environment["python"] == platform.python_version()
+    assert environment["numpy"] == np.__version__
+    assert environment["scipy"] == importlib.metadata.version("scipy")
+    assert environment["platform"] == platform.platform()
     assert "spikes in 0.01 s" in capsys.readouterr().out
 
 

@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -66,6 +70,15 @@ def test_pulse_train_builders_reject_a_duration_that_is_not_finite(build):
             build(duration)
     assert len(build(0.0)) == 0
     assert len(build(0.05)) == 5
+
+
+@pytest.mark.parametrize("name", ["freq_hz", "width", "start"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_periodic_train_rejects_an_argument_that_is_not_finite(name, value):
+    args = {"freq_hz": 100.0, "width": 1e-3, "duration": 0.05, "start": 0.0}
+    args[name] = value
+    with pytest.raises(ValueError, match=f"^{name} must be finite$"):
+        periodic_train(**args)
 
 
 def test_weighted_drive_rejects_a_rate_that_is_not_finite():
@@ -285,3 +298,20 @@ def test_run_synapse_wraps_when_the_phase_reaches_one_exactly():
     edges, _ = run_synapse(params, [], 100 * dt, dt)
     assert np.array_equal(edges, step_synapse(params, [False] * 100, dt)[0])
     assert len(edges) == 25
+
+
+def test_scipy_loads_on_the_first_fit_not_on_import():
+    # a fresh interpreter: this one has loaded SciPy through other tests
+    script = """
+import sys
+import tdsnn, tdsnn.cli
+loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+assert not loaded, loaded
+tdsnn.calibrate(sim_duration=1.0)
+assert "scipy.optimize" in sys.modules
+"""
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run([sys.executable, "-c", script],
+                          env={**os.environ, "PYTHONPATH": str(src)},
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

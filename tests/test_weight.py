@@ -64,3 +64,17 @@ def test_pulse_train_validation():
         PulseTrain(np.array([1e-3, 0.0]), np.array([1e-4, 1e-4]))  # unsorted
     with pytest.raises(ValueError):
         PulseTrain(np.array([0.0]), np.array([0.0]))  # zero width
+
+
+@pytest.mark.parametrize("rises, widths, name", [
+    ([0.01], [np.nan], "widths"),
+    ([0.01], [np.inf], "widths"),
+    ([0.0, 0.01], [1e-3, -np.inf], "widths"),
+    ([np.nan], [1e-3], "rise times"),
+    ([0.0, np.inf], [1e-3, 1e-3], "rise times"),
+    ([-np.inf, 0.0], [1e-3, 1e-3], "rise times"),
+])
+def test_pulse_train_rejects_values_that_are_not_finite(rises, widths, name):
+    # nan compares False, so the positivity and order checks alone let it by
+    with pytest.raises(ValueError, match=f"^pulse {name} must be finite$"):
+        PulseTrain(rises, widths)
