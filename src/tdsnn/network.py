@@ -14,7 +14,9 @@ is the only event by which one neuron affects another, so runs compute many
 steps as one window of array rows, bit-identical to stepping: each window
 first plans all of its edges and the inputs they give every row, then sums
 the membranes down the rows on their own, and a spike whose charge moves
-its ring's edge ends the window after its step.
+its ring's edge ends the window after its step. External pulse trains
+enter a run as a table of the steps each pulse covers, and each window
+takes the levels of its own rows from the pulses that cross them.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ import numpy as np
 
 from .errors import ConfigurationError
 from .neuron import NeuronParams
-from .pulses import check_duration
+from .pulses import PulseTrain, check_duration
 from .synapse import SynapseParams, check_dt, osc_frequency
 from .weight import WeightParams, N_CODES, pulse_width
 
@@ -446,8 +448,10 @@ class NetworkSim:
         """Advance by n_steps steps, bit-identical to as many step() calls.
 
         ext_exc and ext_inh hold one row of levels per step: a boolean per
-        neuron, or one boolean for all neurons. The recorder, if given,
-        receives the state after every step and the spikes.
+        neuron, or one boolean for all neurons. Each window takes its rows
+        as the slice ext[done:done + rows], so a 2-D source only needs to
+        slice like an array, as simulate's _PulseSpans does. The recorder,
+        if given, receives the state after every step and the spikes.
         """
         ext = [e if e is None or np.ndim(e) == 2 else np.asarray(e)[:, None]
                for e in (ext_exc, ext_inh)]
@@ -754,35 +758,66 @@ class Recorder:
                         **readout)
 
 
-def _external_level_arrays(external_inputs, n_neurons, dt, n_steps):
-    """Materialize pulse trains into per-step boolean matrices (or None).
+class _PulseSpans:
+    """The external levels of one input side of a run, a slice of rows at
+    a time.
 
-    A step is high where its start time lies in [rise, rise + width) of a
-    pulse, as PulseTrain.step_levels samples it. The pulses of one train do
-    not overlap, so +1 at each pulse's first step and -1 after its last,
-    summed down the steps in place, leave 0 or 1.
+    Per pulse the table holds its first high step, the step after its last
+    and its neuron, in order of first step: a step is high where its start
+    time lies in [rise, rise + width), as PulseTrain.step_levels samples
+    it. Slicing rows [a:b] gives their (b - a, n) boolean levels, set from
+    the pulses that cross them and from nothing else, so the table takes
+    memory per pulse, not per step and neuron. advance slices it as it
+    slices a level array.
     """
+
+    ndim = 2
+
+    def __init__(self, trains, n: int, times: np.ndarray):
+        col = np.concatenate([np.full(len(train), idx) for idx, train in trains])
+        first = np.searchsorted(times, np.concatenate([train.rises for _, train in trains]))
+        stop = np.searchsorted(times, np.concatenate([train.ends for _, train in trains]))
+        keep = np.flatnonzero(first < stop)  # pulses that cover a step start
+        order = keep[np.argsort(first[keep], kind="stable")]
+        self._first, self._stop, self._col = first[order], stop[order], col[order]
+        self._reach = np.maximum.accumulate(self._stop)  # the latest stop so far
+        self._shape = (len(times), n)
+
+    def __getitem__(self, rows: slice) -> np.ndarray:
+        a, b, _ = rows.indices(self._shape[0])
+        block = np.zeros((max(b - a, 0), self._shape[1]), dtype=bool)
+        # the pulses before lo stop by row a, those from hi on start at b or later
+        lo = int(np.searchsorted(self._reach, a, side="right"))
+        hi = int(np.searchsorted(self._first, b))
+        start = np.maximum(self._first[lo:hi], a) - a
+        count = np.maximum(np.minimum(self._stop[lo:hi], b) - a - start, 0)
+        row = np.arange(int(count.sum())) + np.repeat(start - (np.cumsum(count) - count),
+                                                      count)
+        block[row, np.repeat(self._col[lo:hi], count)] = True
+        return block
+
+
+def _external_levels(external_inputs, n_neurons, dt, n_steps):
+    """Check external_inputs and give each input side's levels for advance:
+    a _PulseSpans over its trains, or None where no train has a pulse."""
     if not external_inputs:
         return None, None
-    for idx in external_inputs:
+    for idx, pair in external_inputs.items():
+        if isinstance(idx, bool) or not isinstance(idx, (int, np.integer)):
+            raise ConfigurationError(
+                f"external input key {idx!r}: must be an int neuron index")
         if not 0 <= idx < n_neurons:
             raise ConfigurationError(f"external input for unknown neuron {idx}")
+        if not (isinstance(pair, (tuple, list)) and len(pair) == 2
+                and all(train is None or isinstance(train, PulseTrain) for train in pair)):
+            raise ConfigurationError(
+                f"external input {idx}: must be a pair of PulseTrain or None")
     times = np.arange(n_steps) * dt
     levels = []
     for side in (0, 1):
         trains = [(idx, pair[side]) for idx, pair in external_inputs.items()
                   if pair[side] is not None and len(pair[side]) > 0]
-        if not trains:
-            levels.append(None)
-            continue
-        cols = np.concatenate([np.full(len(train), idx) for idx, train in trains])
-        rises = np.concatenate([train.rises for _, train in trains])
-        ends = np.concatenate([train.ends for _, train in trains])
-        marks = np.zeros((n_steps + 1, n_neurons), dtype=np.int8)
-        np.add.at(marks, (np.searchsorted(times, rises), cols), 1)
-        np.add.at(marks, (np.searchsorted(times, ends), cols), -1)
-        np.add.accumulate(marks, axis=0, out=marks)
-        levels.append(marks[:n_steps].view(bool))
+        levels.append(_PulseSpans(trains, n_neurons, times) if trains else None)
     return tuple(levels)
 
 
@@ -790,18 +825,20 @@ def simulate(network: Network, external_inputs=None, duration: float = 1.0) -> T
     """Run the network for the given duration and collect traces.
 
     external_inputs maps a neuron index to a pair (excitatory PulseTrain,
-    inhibitory PulseTrain); either entry may be None. Trains extending past
-    the duration are accepted, the excess is ignored. The run is one
-    NetworkSim.advance call, which commits its steps in windows of array
-    rows and is bit-identical to stepping.
+    inhibitory PulseTrain); either entry may be None. A key that is not an
+    int neuron index in range, or a value that is not such a pair, raises
+    ConfigurationError. Trains extending past the duration are accepted,
+    the excess is ignored. The run is one NetworkSim.advance call, which
+    commits its steps in windows of array rows and is bit-identical to
+    stepping; each window's external levels are set from the pulses that
+    cross its rows, so no array of a level per step and neuron is made.
     """
     check_duration(duration)
     cfg = network.config
     dt = cfg.dt
     n_steps = int(round(duration / dt))
     sim = NetworkSim(network)
-    ext_exc, ext_inh = _external_level_arrays(external_inputs, cfg.n_neurons,
-                                              dt, n_steps)
+    ext_exc, ext_inh = _external_levels(external_inputs, cfg.n_neurons, dt, n_steps)
     every = max(1, int(round(cfg.sample_interval / dt)))
     recorder = Recorder(sim, n_steps, every)
     sim.advance(n_steps, ext_exc, ext_inh, recorder)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -7,9 +8,9 @@ import pytest
 from tdsnn import (ConfigurationError, Connection, Network, NetworkConfig,
                    NetworkSim, NeuronParams, PulseTrain, SynapseParams,
                    WeightParams, build_network, periodic_train, pulse_width,
-                   simulate)
+                   simulate, weighted_drive)
 from tdsnn import network
-from tdsnn.network import Recorder, _external_level_arrays
+from tdsnn.network import Recorder, _external_levels
 from tdsnn.measure import run_neuron
 from tdsnn.synapse import osc_frequency
 from tdsnn.weight import N_CODES
@@ -443,20 +444,64 @@ def test_external_levels_match_the_step_levels_of_each_train():
               5: (None, exact)}
     assert all(train.ends[-1] > n_steps * dt for pair in inputs.values()
                for train in pair if train is not None and len(train))
-    exc, inh = _external_level_arrays(inputs, n, dt, n_steps)
-    for levels, side in ((exc, 0), (inh, 1)):
-        assert levels.dtype == bool and levels.shape == (n_steps, n)
+    # Window-sized slices over the whole run: [5, 12) starts and ends
+    # inside the exact train's first two pulses, and [12, 14) ends on the
+    # step start at which its second one ends.
+    bounds = [0, 5, 12, 14, 21, *range(60, n_steps, 57), n_steps]
+    runs = []
+    for levels, side in zip(_external_levels(inputs, n, dt, n_steps), (0, 1)):
+        blocks = [levels[a:b] for a, b in zip(bounds, bounds[1:])]
+        assert [block.shape for block in blocks] == [(b - a, n) for a, b in
+                                                     zip(bounds, bounds[1:])]
+        run = np.concatenate(blocks)
         for i in range(n):
             train = inputs.get(i, (None, None))[side]
             expected = train.step_levels(dt, n_steps) if train is not None \
                 else np.zeros(n_steps, dtype=bool)
-            assert levels[:, i].tobytes() == expected.tobytes(), (side, i)
-    assert exc[[9, 10, 13, 20], 3].all() and not exc[[14, 21, 30, 31], 3].any()
-    assert _external_level_arrays({0: (PulseTrain.empty(), None)}, n, dt,
-                                  n_steps) == (None, None)
+            assert run[:, i].tobytes() == expected.tobytes(), (side, i)
+        runs.append(run)
+    assert runs[0][[9, 10, 13, 20], 3].all() and not runs[0][[14, 21, 30, 31], 3].any()
+    assert _external_levels({0: (PulseTrain.empty(), None)}, n, dt,
+                            n_steps) == (None, None)
     for idx in (n, -1):
         with pytest.raises(ConfigurationError, match="unknown neuron"):
-            _external_level_arrays({idx: (None, None)}, n, dt, n_steps)
+            _external_levels({idx: (None, None)}, n, dt, n_steps)
+
+
+@pytest.mark.parametrize("inputs, message", [
+    ({True: (periodic_train(100.0, 1e-4, 0.01), None)}, "key True: must be an int"),
+    ({0.0: (periodic_train(100.0, 1e-4, 0.01), None)}, "key 0.0: must be an int"),
+    ({"0": (periodic_train(100.0, 1e-4, 0.01), None)}, "key '0': must be an int"),
+    ({0: periodic_train(100.0, 1e-4, 0.01)}, "input 0: must be a pair"),
+    ({0: ([0.001], None)}, "input 0: must be a pair"),
+], ids=["bool-key", "float-key", "str-key", "bare-train", "list-not-train"])
+def test_simulate_rejects_bad_external_inputs(inputs, message):
+    net = build_network(NetworkConfig(n_neurons=2))
+    with pytest.raises(ConfigurationError, match=message):
+        simulate(net, inputs, 0.01)
+
+
+def test_driven_simulate_allocates_no_per_step_level_plane():
+    # A whole-run plane of one byte per step and neuron would take
+    # n_steps * n bytes on its own; beyond the traces it returns, the run's
+    # peak stays below that.
+    n, duration = 200, 0.2
+    net = build_network(NetworkConfig(n_neurons=n, connection_probability=0.1, seed=0))
+    rng = np.random.default_rng(0)
+    inputs = {i: (weighted_drive(float(rate), int(code), duration), None)
+              for i, (rate, code) in enumerate(zip(rng.uniform(20.0, 150.0, n),
+                                                   rng.integers(0, N_CODES, n)))}
+    n_steps = int(round(duration / net.config.dt))
+    tracemalloc.start()
+    try:
+        traces = simulate(net, inputs, duration)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    kept = sum(a.nbytes for a in (traces.sample_times, traces.v_mem, traces.v_syn,
+                                  traces.freq_hz, *traces.spikes))
+    assert traces.spike_counts().sum() > 0
+    assert peak - kept < n_steps * n
 
 
 # ---------------------------------------------------------------------------
