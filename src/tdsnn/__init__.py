@@ -22,7 +22,7 @@ from .reservoir import (FeedbackParams, RlsState, TargetSpec, TrainConfig,
 from .measure import (CalibrationResult, PAPER_ANCHORS, calibrate, firing_rate,
                       weighted_drive)
 from .config import SimulationConfig, parse_config, serialize_config
-from .traceio import RunSummary, read_csv_columns, write_summary, write_traces
+from .traceio import RunSummary, write_summary, write_traces
 
 __version__ = "0.1.0"
 
@@ -41,5 +41,5 @@ __all__ = [
     "CalibrationResult", "PAPER_ANCHORS", "calibrate", "firing_rate",
     "weighted_drive",
     "SimulationConfig", "parse_config", "serialize_config",
-    "RunSummary", "read_csv_columns", "write_summary", "write_traces",
+    "RunSummary", "write_summary", "write_traces",
 ]

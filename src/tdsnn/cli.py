@@ -24,7 +24,7 @@ from .measure import (ANCHOR_TOLERANCES, PAPER_ANCHORS, calibrate,
                       run_synapse, weighted_drive)
 from .network import NetworkConfig, TraceSet, build_network, simulate
 from .reservoir import RlsState, evaluate, train_force
-from .pulses import check_duration
+from .pulses import check_duration, regular_times
 from .traceio import RunSummary, Stopwatch, write_summary, write_traces
 from .weight import N_CODES
 
@@ -70,9 +70,14 @@ def _write_run(out_dir, traces, command: str, seed: int, metrics: dict,
 
 
 def _check_rate(option: str, rate: float) -> None:
-    """Reject a drive rate that is not finite (nan would read as no drive)."""
+    """Reject a drive rate that is nan, infinite or negative.
+
+    0 means no drive; nan and a negative rate would read as no drive too.
+    """
     if not math.isfinite(rate):
         raise ConfigurationError(f"{option} must be finite, got {rate}")
+    if rate < 0:
+        raise ConfigurationError(f"{option} must not be negative, got {rate}")
 
 
 def cmd_simulate_neuron(args) -> int:
@@ -103,9 +108,7 @@ def cmd_simulate_synapse(args) -> int:
     with Stopwatch() as sw:
         params = SynapseParams()
         check_duration(args.duration)
-        n = int(np.ceil(args.duration * args.spike_rate)) if args.spike_rate > 0 else 0
-        spike_times = np.arange(n) / args.spike_rate if n else np.empty(0)
-        spike_times = spike_times[spike_times < args.duration]
+        spike_times = regular_times(args.spike_rate, args.duration)
         edges, trace = run_synapse(params, spike_times, args.duration, args.dt,
                                    record=True)
         rate = len(edges) / args.duration

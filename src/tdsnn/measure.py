@@ -24,7 +24,7 @@ from .errors import CalibrationError
 # functions reproduce; they stay importable from here.
 from .neuron import (NeuronParams, free_run_period, neuron_step,  # noqa: F401
                      run_neuron)
-from .pulses import PulseTrain
+from .pulses import PulseTrain, regular_times
 from .synapse import (SynapseParams, run_synapse,  # noqa: F401
                       steady_state_frequency, synapse_step)
 from .weight import WeightParams, shape_pulses
@@ -61,16 +61,9 @@ def weighted_drive(input_freq: float, code: int, duration: float,
     The source contributes one rising edge per period; the weight code sets
     the pulse width.
     """
-    if not math.isfinite(duration):
-        raise ValueError("duration must be finite")
     if not math.isfinite(input_freq):
         raise ValueError("input_freq must be finite")
-    if input_freq <= 0:
-        return PulseTrain.empty()
-    n = int(math.ceil(duration * input_freq))
-    edges = np.arange(n) / input_freq
-    edges = edges[edges < duration]
-    return shape_pulses(edges, code, weight)
+    return shape_pulses(regular_times(input_freq, duration), code, weight)
 
 
 PAPER_ANCHORS = {

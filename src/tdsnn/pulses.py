@@ -82,19 +82,29 @@ class PulseTrain:
         return self.levels(np.arange(n_steps) * dt)
 
 
-def periodic_train(freq_hz: float, width: float, duration: float,
-                   start: float = 0.0) -> PulseTrain:
-    """Regular pulse train at a fixed frequency, pulses within [start, duration)."""
-    for name, value in (("freq_hz", freq_hz), ("width", width),
-                        ("duration", duration), ("start", start)):
+def regular_times(freq_hz: float, duration: float,
+                  start: float = 0.0) -> np.ndarray:
+    """Instants start + k/freq_hz (k = 0, 1, ...) in [start, duration).
+
+    A rate of 0 or below gives none.
+    """
+    for name, value in (("freq_hz", freq_hz), ("duration", duration),
+                        ("start", start)):
         if not math.isfinite(value):
             raise ValueError(f"{name} must be finite")
     if freq_hz <= 0:
-        return PulseTrain.empty()
-    if width >= 1.0 / freq_hz:
-        raise ValueError("pulse width must be shorter than the pulse period")
+        return np.empty(0)
     n = int(np.ceil((duration - start) * freq_hz))
-    rises = start + np.arange(max(n, 0)) / freq_hz
-    rises = rises[rises < duration]
-    return PulseTrain(rises, np.full(len(rises), width))
+    times = start + np.arange(max(n, 0)) / freq_hz
+    return times[times < duration]
 
+
+def periodic_train(freq_hz: float, width: float, duration: float,
+                   start: float = 0.0) -> PulseTrain:
+    """Regular pulse train at a fixed frequency, pulses within [start, duration)."""
+    if not math.isfinite(width):
+        raise ValueError("width must be finite")
+    rises = regular_times(freq_hz, duration, start)
+    if freq_hz > 0 and width >= 1.0 / freq_hz:
+        raise ValueError("pulse width must be shorter than the pulse period")
+    return PulseTrain(rises, np.full(len(rises), width))

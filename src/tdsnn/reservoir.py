@@ -17,6 +17,7 @@ import numpy as np
 
 from .errors import ConfigurationError
 from .network import Network, NetworkSim, Recorder, TraceSet
+from .synapse import phase_wraps
 
 
 @dataclass
@@ -162,31 +163,21 @@ class _PulseEmitter:
     def levels(self, rates, dt: float) -> np.ndarray:
         """Advance one step of dt per rate; returns the level of each step.
 
-        A step with a positive rate adds rate*dt to the phase; a step that
+        A step adds rate*dt (rates are >= 0) to the phase; a step that
         brings it to 1 wraps it and holds the level high for width_steps
-        steps from there. The phase is folded by np.add.accumulate between
-        wraps, in the order a step-by-step loop would add it.
+        steps from there. The phase is folded by phase_wraps, in the order
+        a step-by-step loop would add it.
         """
-        rates = np.asarray(rates, dtype=float)
-        n = len(rates)
+        inc = np.asarray(rates, dtype=float) * dt
+        n = len(inc)
         level = np.zeros(n, dtype=bool)
         level[:self.countdown] = True
-        high_until = self.countdown
-        inc = rates * dt
-        k = 0
-        while True:
-            phase = np.add.accumulate(np.concatenate(([self.phase], inc[k:])))
-            wraps = np.flatnonzero((phase[1:] >= 1.0) & (rates[k:] > 0))
-            if not wraps.size:
-                self.phase = float(phase[-1])
-                break
-            w = int(wraps[0])
-            self.phase = float(phase[w + 1]) - 1.0
-            k += w
+        wraps, _, self.phase = phase_wraps(self.phase, inc, n)
+        for k in wraps.tolist():
             level[k:k + self.width_steps] = True
-            high_until = k + self.width_steps
-            k += 1
-        self.countdown = max(high_until - n, 0)
+        if wraps.size:
+            self.countdown = int(wraps[-1]) + self.width_steps
+        self.countdown = max(self.countdown - n, 0)
         return level
 
 

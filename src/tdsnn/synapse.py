@@ -111,6 +111,37 @@ def synapse_step(state: SynapseState, params: SynapseParams, spike_in: bool,
     return SynapseState(v_syn=v, phase=phase), edges
 
 
+def phase_wraps(phase: float, inc, window: int):
+    """Fold a phase accumulator through per-step increments, wrapping at 1.
+
+    Each step adds inc[k] (>= 0) to the phase; a step that brings it to 1
+    wraps it, keeping the excess. The sums run by np.add.accumulate over
+    up to window steps at a time, in the order a step-by-step loop would
+    add them. Returns (wrap steps, the phase entering each wrap step, the
+    phase after the last step).
+    """
+    n = len(inc)
+    steps, entering = [], []
+    k = 0
+    while k < n:
+        m = min(window, n - k)
+        acc = np.empty(m + 1)
+        acc[0] = phase
+        acc[1:] = inc[k:k + m]
+        np.add.accumulate(acc, out=acc)
+        hit = np.flatnonzero(acc[1:] >= 1.0)
+        if hit.size:
+            j = int(hit[0])  # step k + j wraps
+            steps.append(k + j)
+            entering.append(acc[j])
+            phase = float(acc[j + 1]) - 1.0
+            k += j + 1
+        else:
+            phase = float(acc[m])
+            k += m
+    return np.array(steps, dtype=int), np.array(entering, dtype=float), phase
+
+
 def run_synapse(params: SynapseParams, spike_times, duration: float, dt: float,
                 record: bool = False):
     """Run synapse_step from rest, charged by the given presynaptic spike
@@ -119,13 +150,12 @@ def run_synapse(params: SynapseParams, spike_times, duration: float, dt: float,
     A spike landing in [k*dt, (k+1)*dt) charges the synapse during step k,
     and spikes outside [0, duration) are dropped. The result is
     bit-identical to looping over synapse_step, but the Python loop runs
-    once per event (a spike or a ring wrap). Between spikes v_syn is the
-    running product v*decay*decay*..., folded in order by
-    np.multiply.accumulate; the ring phase is the running sum of f*dt,
-    folded by np.add.accumulate until it wraps at 1. Silent steps (f = 0)
-    leave the phase as it is and are skipped. Returns (edge_times, trace)
-    with trace = (times, v_syn, freq) when record=True, each holding the
-    value before the first step and after each step, else None.
+    once per event (a spike, a ring wrap or a silent stretch). Between
+    spikes v_syn is the running product v*decay*decay*..., folded in order
+    by np.multiply.accumulate; the ring phase is folded by phase_wraps (a
+    silent step adds 0). Returns (edge_times, trace) with trace = (times,
+    v_syn, freq) when record=True, each holding the value before the first
+    step and after each step, else None.
     """
     check_dt(params, dt)
     check_duration(duration)
@@ -143,35 +173,13 @@ def run_synapse(params: SynapseParams, spike_times, duration: float, dt: float,
     np.multiply.accumulate(v[start:], out=v[start:])
 
     f = osc_frequency(v[1:], params)
-    inc = f * dt
-    active = np.flatnonzero(inc > 0)
     # Every active step adds at least f_min*dt, so a window of this many
     # steps wraps unless it holds silent ones; then the next window goes on.
     window = math.ceil(1.0 / (params.f_min * dt)) + 1
-    edges = []
-    phase = 0.0
-    k = 0
-    while True:
-        i = int(np.searchsorted(active, k))
-        if i == len(active):
-            break
-        k = int(active[i])
-        m = min(window, n - k)
-        acc = np.empty(m + 1)
-        acc[0] = phase
-        acc[1:] = inc[k:k + m]
-        np.add.accumulate(acc, out=acc)
-        hit = np.flatnonzero(acc[1:] >= 1.0)
-        if hit.size:
-            j = int(hit[0])  # step k + j wraps
-            edges.append((k + j) * dt + (1.0 - float(acc[j])) / float(f[k + j]))
-            phase = float(acc[j + 1]) - 1.0
-            k += j + 1
-        else:
-            phase = float(acc[m])
-            k += m
+    steps, entering, _ = phase_wraps(0.0, f * dt, window)
+    edges = steps * dt + (1.0 - entering) / f[steps]
     trace = (np.arange(n + 1) * dt, v, np.concatenate(([0.0], f))) if record else None
-    return np.array(edges), trace
+    return edges, trace
 
 
 def steady_state_v(spike_rate: float, params: SynapseParams) -> float:

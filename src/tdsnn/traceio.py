@@ -88,20 +88,6 @@ def write_traces(traces: TraceSet, out_dir) -> list[str]:
     return paths
 
 
-def read_csv_columns(path) -> dict:
-    """Read one of our CSVs back into {column: float array or int array}.
-
-    Columns named ``*_id`` are ints, the rest floats; a header-only file
-    gives empty arrays.
-    """
-    with open(path) as fh:
-        header = fh.readline().strip().split(",")
-        rows = [line.strip().split(",") for line in fh]
-    columns = list(zip(*rows)) or [()] * len(header)
-    return {h: np.array(column, dtype=int if h.endswith("_id") else float)
-            for h, column in zip(header, columns)}
-
-
 def environment() -> dict:
     """Python, NumPy and SciPy versions and the platform of this process.
 

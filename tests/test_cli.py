@@ -104,6 +104,9 @@ def test_simulate_duration_not_finite_exits_1(argv, message, capsys):
     (["simulate-synapse", "--spike-rate=inf"], "--spike-rate must be finite, got inf"),
     # and the synapse would see no spikes
     (["simulate-synapse", "--spike-rate=nan"], "--spike-rate must be finite, got nan"),
+    # a negative rate would read as no drive as well
+    (["simulate-neuron", "--input-freq=-3"], "--input-freq must not be negative, got -3.0"),
+    (["simulate-synapse", "--spike-rate=-5"], "--spike-rate must not be negative, got -5.0"),
 ])
 def test_simulate_rate_not_finite_exits_1(argv, message, capsys):
     assert main(argv) == 1

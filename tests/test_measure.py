@@ -13,6 +13,7 @@ from tdsnn import (CalibrationError, NetworkConfig, NetworkSim, NeuronParams,
                    osc_frequency, periodic_train, steady_state_frequency,
                    synapse_step)
 from tdsnn.measure import run_neuron, run_synapse, weighted_drive
+from tdsnn.pulses import regular_times
 
 
 def test_firing_rate_regular_train():
@@ -63,7 +64,8 @@ def test_weighted_drive_is_shaped_source():
 @pytest.mark.parametrize("build", [
     lambda duration: weighted_drive(100.0, 12, duration),
     lambda duration: periodic_train(100.0, 1e-3, duration),
-], ids=["weighted_drive", "periodic_train"])
+    lambda duration: regular_times(100.0, duration),
+], ids=["weighted_drive", "periodic_train", "regular_times"])
 def test_pulse_train_builders_reject_a_duration_that_is_not_finite(build):
     for duration in (math.inf, -math.inf, math.nan):
         with pytest.raises(ValueError, match="duration must be finite"):

@@ -7,6 +7,7 @@ from tdsnn import (ConfigurationError, FeedbackParams, NetworkConfig, NetworkSim
                    RlsState, TargetSpec, TrainConfig, build_network,
                    encode_feedback, evaluate, normalized_state, readout,
                    rls_update, train_force)
+from tdsnn.reservoir import _PulseEmitter
 
 
 # ---------------------------------------------------------------------------
@@ -256,6 +257,45 @@ def test_train_config_validation():
         TrainConfig(frequency_range=(200.0, 15.0))
 
 
+def emit_step(em, rate, dt, width):
+    """One step of the feedback emitter, the reference _PulseEmitter.levels
+    reproduces: em holds its phase and pulse countdown."""
+    if rate > 0:
+        em["phase"] += rate * dt
+        if em["phase"] >= 1.0:
+            em["phase"] -= 1.0
+            em["countdown"] = width
+    level = em["countdown"] > 0
+    em["countdown"] = max(em["countdown"] - 1, 0)
+    return level
+
+
+def test_pulse_emitter_matches_step_loop():
+    # At 4-8 kHz with dt = 10 us the phase wraps every 12.5 to 25 steps,
+    # often sooner than a 20-step pulse ends, so a wrap extends the pulse;
+    # some steps have rate 0, and some intervals are all silent.
+    dt, width = 1e-5, 20
+    rng = np.random.default_rng(3)
+    emitter = _PulseEmitter(width)
+    em = {"phase": 0.5, "countdown": 0}
+    extended = 0
+    for interval in range(60):
+        n = int(rng.integers(0, 120))
+        rates = rng.uniform(4000.0, 8000.0, n) * (rng.random(n) < 0.9)
+        if interval % 9 == 4:
+            rates[:] = 0.0
+        expected = []
+        for rate in rates.tolist():
+            high = em["countdown"] > 0
+            expected.append(emit_step(em, rate, dt, width))
+            extended += high and em["countdown"] == width - 1  # a wrap
+        got = emitter.levels(rates, dt)
+        assert got.tolist() == expected, interval
+        assert emitter.phase == em["phase"]
+        assert emitter.countdown == em["countdown"]
+    assert extended > 10
+
+
 def stepped_train_force(network, train_cfg, fb):
     """train_force written as a plain loop over NetworkSim.step, with the
     feedback encoded and emitted step by step."""
@@ -273,16 +313,6 @@ def stepped_train_force(network, train_cfg, fb):
     width = max(1, int(round(fb.pulse_width / dt)))
     emitters = [{"phase": 0.5, "countdown": 0} for _ in range(2)]
 
-    def emit(em, rate):
-        if rate > 0:
-            em["phase"] += rate * dt
-            if em["phase"] >= 1.0:
-                em["phase"] -= 1.0
-                em["countdown"] = width
-        level = em["countdown"] > 0
-        em["countdown"] = max(em["countdown"] - 1, 0)
-        return level
-
     rls = RlsState.initial(n, train_cfg.rls_init_alpha)
     out = {name: [] for name in ("z_times", "z", "target", "r_states")}
     out.update(sample_times=[0.0], v_mem=[sim.v], v_syn=[sim.sv],
@@ -296,7 +326,8 @@ def stepped_train_force(network, train_cfg, fb):
         else:
             sig = z_held
         rates = encode_feedback(sig, fb)
-        fired = sim.step(emit(emitters[0], rates[0]), emit(emitters[1], rates[1]))
+        fired = sim.step(*(emit_step(em, rate, dt, width)
+                           for em, rate in zip(emitters, rates)))
         for i in np.flatnonzero(fired):
             spikes[i].append((k + 1) * dt)
         if (k + 1) % m == 0:
