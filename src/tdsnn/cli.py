@@ -69,19 +69,24 @@ def _write_run(out_dir, traces, command: str, seed: int, metrics: dict,
                              write_s=sw.elapsed), out_dir)
 
 
-def _check_rate(option: str, rate: float) -> None:
-    """Reject a drive rate that is nan, infinite or negative.
+def _check_rate(option: str, rate: float, dt: float) -> None:
+    """Reject a drive rate that is nan, infinite, negative or above 1/dt.
 
     0 means no drive; nan and a negative rate would read as no drive too.
+    A step resolves at most one event, and a faster train would be built
+    in full before anything else rejected it.
     """
     if not math.isfinite(rate):
         raise ConfigurationError(f"{option} must be finite, got {rate}")
     if rate < 0:
         raise ConfigurationError(f"{option} must not be negative, got {rate}")
+    if rate * dt > 1:
+        raise ConfigurationError(
+            f"{option} must be at most 1/--dt = {1 / dt:g} Hz, got {rate:g}")
 
 
 def cmd_simulate_neuron(args) -> int:
-    _check_rate("--input-freq", args.input_freq)
+    _check_rate("--input-freq", args.input_freq, args.dt)
     with Stopwatch() as sw:
         cfg = NetworkConfig(n_neurons=1, seed=args.seed, dt=args.dt)
         net = build_network(cfg)
@@ -104,7 +109,7 @@ def cmd_simulate_neuron(args) -> int:
 def cmd_simulate_synapse(args) -> int:
     from .synapse import SynapseParams
 
-    _check_rate("--spike-rate", args.spike_rate)
+    _check_rate("--spike-rate", args.spike_rate, args.dt)
     with Stopwatch() as sw:
         params = SynapseParams()
         check_duration(args.duration)

@@ -117,14 +117,20 @@ def phase_wraps(phase: float, inc, window: int):
     Each step adds inc[k] (>= 0) to the phase; a step that brings it to 1
     wraps it, keeping the excess. The sums run by np.add.accumulate over
     up to window steps at a time, in the order a step-by-step loop would
-    add them. Returns (wrap steps, the phase entering each wrap step, the
-    phase after the last step).
+    add them. A chunk ends two steps past where the phase would wrap at
+    0.8 times the increment at its start; when no wrap falls inside, the
+    next chunk goes on. Chunks do not change the sums. Returns (wrap
+    steps, the phase entering each wrap step, the phase after the last
+    step).
     """
     n = len(inc)
     steps, entering = [], []
     k = 0
     while k < n:
         m = min(window, n - k)
+        reach = 1.25 * (1.0 - phase)
+        if reach < (m - 2) * inc[k]:  # the next wrap is near: fold up to it
+            m = int(reach / inc[k]) + 2
         acc = np.empty(m + 1)
         acc[0] = phase
         acc[1:] = inc[k:k + m]

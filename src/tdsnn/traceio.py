@@ -1,12 +1,12 @@
 """Trace serialization: CSV files plus a JSON run summary.
 
 Output is byte-stable for identical inputs: fixed column schemas, fixed row
-ordering, and every float printed as ``"%.9g" % float(x)``. That is the same
-conversion as ``format(float(x), ".9g")``: 9 significant digits, exponent
-form for magnitudes below 1e-4 and from 1e9 on, and ``nan``, ``inf``,
-``-inf`` and ``-0`` spelled as Python spells them. Rows are formatted a
-block at a time, with one ``%`` operation per sample of membrane.csv and
-synapse.csv, per neuron of spikes.csv, and for the whole of output.csv.
+ordering, and every float printed as ``"%.9g" % float(x)`` prints it.
+Neuron ids are printed the same way, as integers. The text is built by
+NumPy a block of rows at a time (``_csvtext``), with ``"%.9g"`` itself
+only for exponent forms, non-finite values and near rounding ties. The
+time and id fields that begin each row of membrane.csv and synapse.csv are
+printed once, for both files.
 """
 
 from __future__ import annotations
@@ -22,26 +22,14 @@ import numpy as np
 from .network import TraceSet
 
 
-def _floats(values) -> list:
-    """The values as Python floats, the doubles that float(x) would give."""
-    return np.asarray(values, dtype=float).tolist()
-
-
-def _interleave(columns: list) -> tuple:
-    """(a0, b0, ..., a1, b1, ...) from the equal-length columns a, b, ..."""
-    width = len(columns)
-    args = [None] * (width * len(columns[0]))
-    for j, column in enumerate(columns):
-        args[j::width] = column
-    return tuple(args)
-
-
 def write_traces(traces: TraceSet, out_dir) -> list[str]:
     """Write spikes/membrane/synapse/output CSVs into out_dir.
 
     All four files are always created; absent series produce header-only
     files. Returns the written paths.
     """
+    from . import _csvtext  # compiled here, not on import: most runs write none
+
     out = Path(out_dir)
     try:
         out.mkdir(parents=True, exist_ok=True)
@@ -49,42 +37,31 @@ def write_traces(traces: TraceSet, out_dir) -> list[str]:
         raise OSError(f"cannot create trace directory {out}: {exc}") from exc
     paths = []
 
-    def _write(name: str, header: str, blocks) -> None:
+    def _write(name: str, header: str, columns, prefix=()) -> None:
         path = out / name
         try:
-            with open(path, "w", newline="") as fh:
-                fh.write(header + "\n")
-                fh.writelines(blocks)
+            with open(path, "wb") as fh:
+                fh.write(header.encode() + b"\n")
+                fh.writelines(_csvtext.rows(columns, prefix))
         except OSError as exc:
             raise OSError(f"cannot write trace file {path}: {exc}") from exc
         paths.append(str(path))
 
-    n = traces.n_neurons
+    spikes = [np.asarray(times, dtype=float) for times in traces.spikes]
+    neurons = np.repeat(np.arange(len(spikes), dtype=float),
+                        [len(times) for times in spikes])
+    prefix = [(_csvtext.packed(traces.sample_times), 0),
+              (_csvtext.packed(np.arange(traces.n_neurons, dtype=float)), 1)]
+    readout = [traces.z_times, traces.z, traces.target]
+    if traces.z_times is None:
+        readout = [np.empty(0)] * 3
 
-    def spike_blocks():
-        for i, times in enumerate(traces.spikes):
-            times = _floats(times)
-            yield f"{i},%.9g\n" * len(times) % tuple(times)
-
-    def sample_blocks(*series):
-        value_fields = ",%.9g" * len(series)
-        block = "".join(f"%s,{i}{value_fields}\n" for i in range(n))
-        for si, t in enumerate(_floats(traces.sample_times)):
-            columns = [["%.9g" % t] * n] + [_floats(s[si]) for s in series]
-            yield block % _interleave(columns)
-
-    def output_blocks():
-        if traces.z_times is None:
-            return
-        columns = [_floats(traces.z_times), _floats(traces.z),
-                   _floats(traces.target)]
-        yield "%.9g,%.9g,%.9g\n" * len(columns[0]) % _interleave(columns)
-
-    _write("spikes.csv", "neuron_id,time_s", spike_blocks())
-    _write("membrane.csv", "time_s,neuron_id,v_mem", sample_blocks(traces.v_mem))
+    _write("spikes.csv", "neuron_id,time_s",
+           [neurons[None], np.concatenate([np.empty(0)] + spikes)[None]])
+    _write("membrane.csv", "time_s,neuron_id,v_mem", [traces.v_mem], prefix)
     _write("synapse.csv", "time_s,synapse_id,v_syn,freq_hz",
-           sample_blocks(traces.v_syn, traces.freq_hz))
-    _write("output.csv", "time_s,z,target", output_blocks())
+           [traces.v_syn, traces.freq_hz], prefix)
+    _write("output.csv", "time_s,z,target", [np.asarray(c)[None] for c in readout])
     return paths
 
 

@@ -107,6 +107,15 @@ def test_simulate_duration_not_finite_exits_1(argv, message, capsys):
     # a negative rate would read as no drive as well
     (["simulate-neuron", "--input-freq=-3"], "--input-freq must not be negative, got -3.0"),
     (["simulate-synapse", "--spike-rate=-5"], "--spike-rate must not be negative, got -5.0"),
+    # a step resolves at most one event; NumPy would fail on the array size
+    (["simulate-neuron", "--input-freq=1e300"],
+     "--input-freq must be at most 1/--dt = 100000 Hz, got 1e+300"),
+    (["simulate-synapse", "--spike-rate=1e300"],
+     "--spike-rate must be at most 1/--dt = 100000 Hz, got 1e+300"),
+    (["simulate-neuron", "--input-freq=150000"],
+     "--input-freq must be at most 1/--dt = 100000 Hz, got 150000"),
+    (["simulate-synapse", "--dt=2e-5", "--spike-rate=75000"],
+     "--spike-rate must be at most 1/--dt = 50000 Hz, got 75000"),
 ])
 def test_simulate_rate_not_finite_exits_1(argv, message, capsys):
     assert main(argv) == 1

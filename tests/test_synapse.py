@@ -7,6 +7,7 @@ from tdsnn import (ConfigurationError, SynapseParams, SynapseState,
                    osc_frequency, steady_state_frequency, steady_state_v,
                    synapse_step)
 from tdsnn.measure import run_synapse
+from tdsnn.synapse import phase_wraps
 
 
 def fixed_point_oracle(rate, params, iters=10_000):
@@ -147,6 +148,30 @@ def test_determinism():
             edge_count += len(e)
         results.append((vs, edge_count))
     assert results[0] == results[1]
+
+
+def test_phase_wraps_is_the_same_for_any_window():
+    # Each chunk ends near the next wrap or at the window, whichever comes
+    # first, and every window must give a step-by-step loop's result.
+    rng = np.random.default_rng(5)
+    inc = rng.uniform(0.0, 0.03, 6000)
+    inc[rng.random(6000) < 0.3] = 0.0  # silent steps
+    inc[1000:1800] = 0.0  # a silent stretch longer than 7 steps
+    inc[3000:3200] *= 30  # a wrap every few steps, from falling and rising rates
+    phase, steps, entering = 0.25, [], []
+    for k, step in enumerate(inc.tolist()):
+        if phase + step >= 1.0:
+            steps.append(k)
+            entering.append(phase)
+            phase = phase + step - 1.0
+        else:
+            phase += step
+    assert len(steps) > 100
+    for window in (1, 7, len(inc)):
+        got_steps, got_entering, got_phase = phase_wraps(0.25, inc, window)
+        assert got_steps.tolist() == steps
+        assert got_entering.tolist() == entering
+        assert got_phase == phase
 
 
 def test_undersampled_oscillator_rejected():

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tdsnn import TraceSet, write_traces
+from tdsnn import TraceSet, _csvtext, write_traces
 
 DATA = Path(__file__).parent / "data" / "traceio"
 FILES = ("spikes.csv", "membrane.csv", "synapse.csv", "output.csv")
@@ -93,3 +93,91 @@ def test_read_csv_columns_round_trip(case, tmp_path):
                 np.testing.assert_allclose(np.array(got[column], dtype=float),
                                            np.asarray(want, float),
                                            rtol=5e-9, atol=0)
+
+
+def formatted(values) -> bytes:
+    """The CSV rows the writer makes of one column of values."""
+    return b"".join(_csvtext.rows([np.asarray(values)[None]]))
+
+
+def printed(values) -> bytes:
+    """The same rows, printed by Python one value at a time."""
+    return "".join("%.9g\n" % v for v in np.asarray(values, dtype=float).tolist()).encode()
+
+
+def test_formatter_matches_percent_9g_on_a_million_doubles(monkeypatch):
+    rng = np.random.default_rng(18)
+    digits = rng.integers(10**8, 10**9, 200_000)
+    exponents = rng.integers(-6, 10, 200_000)
+    cases = {
+        # every exponent, subnormals, nan payloads and infinities included
+        "bit patterns": rng.integers(0, 2**64, 300_000, dtype=np.uint64).view(float),
+        # the doubles nearest to a ten-digit number ending in 5
+        "nine-digit ties": (digits * 10 + 5) * 10.0 ** (exponents - 9.0),
+        "fixed notation": (rng.choice([-1.0, 1.0], 300_000) * rng.uniform(1, 9.99, 300_000)
+                           * 10.0 ** rng.integers(-4, 9, 300_000)),
+        "float32": rng.uniform(0, 250, 200_000).astype(np.float32),
+        # two nonzero digits, so most digit groups are zeros or end in zeros
+        "sparse digits": (10**8 * np.arange(1, 10)[:, None, None, None]
+                          + np.arange(1, 10)[:, None, None] * 10 ** np.arange(8)[:, None]
+                          ) * 10.0 ** (np.arange(-4, 9) - 8.0),
+        "edges": np.array([9.9999999995e-5, 99999999.95, 999999999.5, 1e-4, 1e9,
+                           0.0, -0.0, NAN, -NAN, INF, -INF, 5e-324, -5e-324,
+                           0.49999999995, 123456789.5, 0.1 + 0.2]),
+    }
+    assert sum(len(v) for v in cases.values()) >= 10**6
+    by_python = {}
+    printed_by_python = _csvtext._printed
+
+    def spy(x):
+        by_python[name] = by_python.get(name, 0) + len(x)
+        return printed_by_python(x)
+
+    monkeypatch.setattr(_csvtext, "_printed", spy)
+    for name, values in cases.items():
+        values = np.ravel(values)
+        assert formatted(values) == printed(values), name
+    # A tie is too close for the rounded product to decide, an exponent
+    # form has no fixed layout; NumPy builds the other texts.
+    assert by_python["nine-digit ties"] == len(cases["nine-digit ties"])
+    assert 0 < by_python["bit patterns"] < 0.99 * len(cases["bit patterns"])
+    assert by_python.get("fixed notation", 0) < 10
+    assert by_python.get("sparse digits", 0) < 10
+    # nan, -nan, inf, -inf, the subnormals, 1e9 and the three ties
+    assert by_python["edges"] == 10
+
+
+def test_write_traces_of_many_blocks_matches_row_by_row_text(tmp_path):
+    rng = np.random.default_rng(7)
+    for n, n_samples in ((7, 1500), (5000, 2)):  # many samples, or wide rows
+        v = rng.uniform(0, 1.2, (n_samples, n))
+        v[rng.random(v.shape) < 0.05] = 0.0
+        v[rng.random(v.shape) < 0.01] *= 1e-12
+        freq = np.where(rng.random(v.shape) < 0.3, 0.0, rng.uniform(15, 200, v.shape))
+        spikes = [np.sort(rng.uniform(0, 0.3, rng.integers(0, 6000 // n + 2)))
+                  for _ in range(n)]
+        sample_times = np.arange(n_samples) * 1e-4
+        assert n * n_samples > 2 * _csvtext._CHUNK
+        traces = TraceSet(dt=1e-5, duration=0.3, n_neurons=n, spikes=spikes,
+                          sample_times=sample_times, v_mem=v,
+                          v_syn=v[::-1].copy(), freq_hz=freq)
+        traces.z_times = sample_times
+        traces.z = rng.normal(size=n_samples)
+        traces.target = np.sin(sample_times)
+        write_traces(traces, tmp_path / str(n))
+        rows = {
+            "spikes.csv": ["neuron_id,time_s"] + [
+                "%d,%.9g" % (i, t) for i, times in enumerate(spikes) for t in times],
+            "membrane.csv": ["time_s,neuron_id,v_mem"] + [
+                "%.9g,%d,%.9g" % (t, i, v[s, i])
+                for s, t in enumerate(sample_times) for i in range(n)],
+            "synapse.csv": ["time_s,synapse_id,v_syn,freq_hz"] + [
+                "%.9g,%d,%.9g,%.9g" % (t, i, v[-1 - s, i], freq[s, i])
+                for s, t in enumerate(sample_times) for i in range(n)],
+            "output.csv": ["time_s,z,target"] + [
+                "%.9g,%.9g,%.9g" % row
+                for row in zip(sample_times, traces.z, traces.target)],
+        }
+        for name, lines in rows.items():
+            text = (tmp_path / str(n) / name).read_text()
+            assert text == "\n".join(lines) + "\n", (n, name)
