@@ -19,10 +19,9 @@ from .network import (Connection, Network, NetworkConfig, NetworkSim, TraceSet,
 from .reservoir import (FeedbackParams, RlsState, TargetSpec, TrainConfig,
                         encode_feedback, evaluate, normalized_state, readout,
                         rls_update, train_force)
-from .measure import (CalibrationResult, PAPER_ANCHORS, calibrate, firing_rate,
-                      weighted_drive)
+from .measure import CalibrationResult, PAPER_ANCHORS, calibrate, weighted_drive
 from .config import SimulationConfig, parse_config, serialize_config
-from .traceio import RunSummary, write_summary, write_traces
+from .traceio import write_run, write_traces
 
 __version__ = "0.1.0"
 
@@ -38,8 +37,7 @@ __all__ = [
     "FeedbackParams", "RlsState", "TargetSpec", "TrainConfig",
     "encode_feedback", "evaluate", "normalized_state", "readout", "rls_update",
     "train_force",
-    "CalibrationResult", "PAPER_ANCHORS", "calibrate", "firing_rate",
-    "weighted_drive",
+    "CalibrationResult", "PAPER_ANCHORS", "calibrate", "weighted_drive",
     "SimulationConfig", "parse_config", "serialize_config",
-    "RunSummary", "write_summary", "write_traces",
+    "write_run", "write_traces",
 ]

@@ -25,7 +25,7 @@ from .measure import (ANCHOR_TOLERANCES, PAPER_ANCHORS, calibrate,
 from .network import NetworkConfig, TraceSet, build_network, simulate
 from .reservoir import RlsState, evaluate, train_force
 from .pulses import check_duration, regular_times
-from .traceio import RunSummary, Stopwatch, write_summary, write_traces
+from .traceio import Stopwatch, write_run
 from .weight import N_CODES
 
 
@@ -53,20 +53,6 @@ def _parse_range(text: str) -> tuple[float, float]:
     except ValueError:
         raise ConfigurationError(
             f"range must look like '15:200', got {text!r}") from None
-
-
-def _write_run(out_dir, traces, command: str, seed: int, metrics: dict,
-               wall_clock_s: float, config_echo: str = "") -> None:
-    """Write a run's trace CSVs and its summary.json into out_dir.
-
-    wall_clock_s is the time the run took before writing; write_s in the
-    summary is the time the CSVs took.
-    """
-    with Stopwatch() as sw:
-        write_traces(traces, out_dir)
-    write_summary(RunSummary(command=command, seed=seed, metrics=metrics,
-                             config_echo=config_echo, wall_clock_s=wall_clock_s,
-                             write_s=sw.elapsed), out_dir)
 
 
 def _check_rate(option: str, rate: float, dt: float) -> None:
@@ -101,8 +87,8 @@ def cmd_simulate_neuron(args) -> int:
     rate = n_spikes / args.duration
     print(f"neuron: {n_spikes} spikes in {args.duration:g} s ({rate:.2f} Hz)")
     if args.trace:
-        _write_run(args.trace, traces, "simulate-neuron", args.seed,
-                   {"spikes": n_spikes, "rate_hz": rate}, sw.elapsed)
+        write_run(args.trace, traces, "simulate-neuron", args.seed,
+                  {"spikes": n_spikes, "rate_hz": rate}, sw.elapsed)
     return 0
 
 
@@ -127,8 +113,8 @@ def cmd_simulate_synapse(args) -> int:
                           spikes=[edges], sample_times=times[sel],
                           v_mem=np.zeros((len(times[sel]), 1)),
                           v_syn=v_syn[sel, None], freq_hz=freq[sel, None])
-        _write_run(args.trace, traces, "simulate-synapse", 0,
-                   {"edges": len(edges), "rate_hz": rate}, sw.elapsed)
+        write_run(args.trace, traces, "simulate-synapse", 0,
+                  {"edges": len(edges), "rate_hz": rate}, sw.elapsed)
     return 0
 
 
@@ -144,10 +130,10 @@ def cmd_network_run(args) -> int:
     print(f"network: {net_cfg.n_neurons} neurons, {net.n_connections} connections, "
           f"{int(counts.sum())} spikes in {args.duration:g} s")
     if args.out:
-        _write_run(args.out, traces, "network run", net_cfg.seed,
-                   {"total_spikes": int(counts.sum()),
-                    "mean_rate_hz": counts.mean() / args.duration},
-                   sw.elapsed, serialize_config(replace(cfg, network=net_cfg)))
+        write_run(args.out, traces, "network run", net_cfg.seed,
+                  {"total_spikes": int(counts.sum()),
+                   "mean_rate_hz": counts.mean() / args.duration},
+                  sw.elapsed, serialize_config(replace(cfg, network=net_cfg)))
     return 0
 
 
@@ -175,8 +161,8 @@ def cmd_reservoir_train(args) -> int:
           f"autonomous NRMSE = {metrics.get('nrmse', float('nan')):.4f}")
     cfg_echo = serialize_config(
         SimulationConfig(network=net_cfg, train=train_cfg, feedback=cfg.feedback))
-    _write_run(args.out, traces, "reservoir train", net_cfg.seed, metrics,
-               sw.elapsed, cfg_echo)
+    write_run(args.out, traces, "reservoir train", net_cfg.seed, metrics,
+              sw.elapsed, cfg_echo)
     weights = {
         "w": [float(x) for x in rls.w],
         "config": cfg_echo,
@@ -236,8 +222,8 @@ def cmd_reservoir_eval(args) -> int:
     print(f"reservoir eval: NRMSE = {metrics['nrmse']:.4f} over "
           f"{args.periods} periods")
     if args.out:
-        _write_run(args.out, traces, "reservoir eval", cfg.network.seed, metrics,
-                   sw.elapsed, config_text)
+        write_run(args.out, traces, "reservoir eval", cfg.network.seed, metrics,
+                  sw.elapsed, config_text)
     return 0
 
 

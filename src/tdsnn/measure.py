@@ -1,5 +1,5 @@
-"""Measurement-protocol utilities: rate estimation, single-unit drivers,
-and calibration against the measured anchor frequencies.
+"""Measurement-protocol utilities: single-unit drivers and calibration
+against the measured anchor frequencies.
 
 The drivers mirror the bench setup: a square-wave source stands in for a
 pre-stage synapse, a weight module shapes it into pulses, and the neuron or
@@ -17,8 +17,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-import numpy as np
-
 from .errors import CalibrationError
 # neuron_step and synapse_step are the per-step reference that the run_*
 # functions reproduce; they stay importable from here.
@@ -28,30 +26,6 @@ from .pulses import PulseTrain, regular_times
 from .synapse import (SynapseParams, run_synapse,  # noqa: F401
                       steady_state_frequency, synapse_step)
 from .weight import WeightParams, shape_pulses
-
-
-def firing_rate(spike_times, window: float, n_windows: int,
-                duration: float = None) -> float:
-    """Mean firing rate over consecutive windows starting at t = 0.
-
-    Averages (spikes in window)/window over n_windows windows, the same way
-    a repeated oscilloscope capture would. If the recording duration is
-    given, it must cover all the windows.
-    """
-    if window <= 0:
-        raise ValueError("window must be positive")
-    if n_windows < 1:
-        raise ValueError("n_windows must be >= 1")
-    span = window * n_windows
-    if duration is not None and duration < span:
-        raise ValueError(
-            f"recording length {duration:g}s is shorter than "
-            f"window*n_windows = {span:g}s")
-    times = np.asarray(spike_times, dtype=float)
-    if len(times) == 0:
-        return 0.0
-    counts = np.histogram(times, bins=n_windows, range=(0.0, span))[0]
-    return float(counts.mean() / window)
 
 
 def weighted_drive(input_freq: float, code: int, duration: float,

@@ -245,14 +245,13 @@ class NetworkSim:
     # cells), against 0.44 s at 2**15 and 0.46 s at 2**17 cells.
     _WINDOW_CELLS = 2 ** 16
 
-    def __init__(self, network: Network, synapse_override: Optional[SynapseParams] = None):
+    def __init__(self, network: Network):
         cfg = network.config
         self.network = network
         self.n = cfg.n_neurons
         self.dt = cfg.dt
         self.neuron = cfg.neuron
-        self.synapse = synapse_override if synapse_override is not None else cfg.synapse
-        check_dt(self.synapse, self.dt)
+        self.synapse = cfg.synapse
 
         self.v = np.zeros(self.n)
         self.sv = np.zeros(self.n)
@@ -291,11 +290,6 @@ class NetworkSim:
                                  math.floor((1.0 - 1e-9) / self._phase_step) - 1,
                                  self._WINDOW_CELLS // self.n), 1)
         self._win = np.empty((6, self._max_rows + 1, self.n))  # window rows
-
-    @property
-    def t(self) -> float:
-        """Time at the end of the last completed step."""
-        return self.k * self.dt
 
     def _start_pulses(self, ids: np.ndarray, offsets: np.ndarray, rows: np.ndarray):
         """A pulse on every outgoing connection of the rings ids, in ring
@@ -708,16 +702,18 @@ class NetworkSim:
 
 
 class Recorder:
-    """Samples a run's state every `every` steps and collects its spikes.
+    """Samples a run's state every sample_interval and collects its spikes.
 
     simulate and train_force share it; the sample at time 0 is taken from
-    the kernel's state when the recorder is made.
+    the kernel's state when the recorder is made. Samples fall every
+    round(sample_interval / dt) steps, at least 1; an interval of more
+    than n_steps steps gives the time-0 sample only.
     """
 
-    def __init__(self, sim: NetworkSim, n_steps: int, every: int):
+    def __init__(self, sim: NetworkSim, n_steps: int, sample_interval: float):
         self.sim = sim
-        self.every = every
-        n_samples = n_steps // every + 1
+        self.every = max(1, int(round(min(sample_interval / sim.dt, n_steps + 1))))
+        n_samples = n_steps // self.every + 1
         self.sample_times = np.empty(n_samples)
         self.v_mem = np.empty((n_samples, sim.n))
         self.v_syn = np.empty((n_samples, sim.n))
@@ -839,7 +835,6 @@ def simulate(network: Network, external_inputs=None, duration: float = 1.0) -> T
     n_steps = int(round(duration / dt))
     sim = NetworkSim(network)
     ext_exc, ext_inh = _external_levels(external_inputs, cfg.n_neurons, dt, n_steps)
-    every = max(1, int(round(cfg.sample_interval / dt)))
-    recorder = Recorder(sim, n_steps, every)
+    recorder = Recorder(sim, n_steps, cfg.sample_interval)
     sim.advance(n_steps, ext_exc, ext_inh, recorder)
     return recorder.traces(duration)

@@ -63,23 +63,18 @@ class PulseTrain:
     def ends(self) -> np.ndarray:
         return self.rises + self.widths
 
-    def levels(self, times) -> np.ndarray:
-        """Sample the digital level at the given instants.
+    def step_levels(self, dt: float, n_steps: int) -> np.ndarray:
+        """Boolean level per simulation step, sampled at step start times.
 
         A pulse covers the half-open interval [rise, rise + width).
         """
-        times = np.asarray(times, dtype=float)
+        times = np.arange(n_steps) * dt
         if len(self.rises) == 0:
             return np.zeros(times.shape, dtype=bool)
         idx = np.searchsorted(self.rises, times, side="right") - 1
         valid = idx >= 0
         idx = np.clip(idx, 0, None)
-        high = valid & (times < self.rises[idx] + self.widths[idx])
-        return high
-
-    def step_levels(self, dt: float, n_steps: int) -> np.ndarray:
-        """Boolean level per simulation step, sampled at step start times."""
-        return self.levels(np.arange(n_steps) * dt)
+        return valid & (times < self.rises[idx] + self.widths[idx])
 
 
 def regular_times(freq_hz: float, duration: float,

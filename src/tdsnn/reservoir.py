@@ -198,21 +198,28 @@ def train_force(network: Network, train_cfg: TrainConfig, fb: FeedbackParams,
     result is bit-identical to stepping with the feedback encoded step by
     step.
     """
-    cfg = network.config
-    dt = cfg.dt
+    dt = network.config.dt
     if train_cfg.learn_interval < dt:
         raise ConfigurationError("learn_interval must be >= network dt")
-    f_lo, f_hi = train_cfg.frequency_range
-    syn = replace(cfg.synapse, f_min=f_lo, f_max=f_hi)
-    sim = NetworkSim(network, synapse_override=syn)
-    n = cfg.n_neurons
-
     target = train_cfg.target
     period = 1.0 / target.frequency
     steps_per_period = int(round(period / dt))
     train_steps = train_cfg.train_periods * steps_per_period
     total_steps = (train_cfg.train_periods + train_cfg.eval_periods) * steps_per_period
     m = max(1, int(round(train_cfg.learn_interval / dt)))
+    if m > total_steps:
+        raise ConfigurationError(
+            f"learn_interval = {train_cfg.learn_interval:g} s is longer than the "
+            f"run ({total_steps * dt:g} s), so the readout would never update")
+
+    # The kernel runs over the reservoir's frequency range; NetworkConfig
+    # checks dt against it.
+    f_lo, f_hi = train_cfg.frequency_range
+    cfg = replace(network.config,
+                  synapse=replace(network.config.synapse, f_min=f_lo, f_max=f_hi))
+    sim = NetworkSim(Network(cfg, network.pre, network.post, network.is_exc,
+                             network.codes))
+    n = cfg.n_neurons
 
     if init_rls is not None:
         rls = RlsState(w=np.array(init_rls.w, dtype=float),
@@ -232,8 +239,7 @@ def train_force(network: Network, train_cfg: TrainConfig, fb: FeedbackParams,
     z_trace = np.empty(n_updates)
     tgt_trace = np.empty(n_updates)
     r_states = np.empty((n_updates, n))
-    every = max(1, int(round(cfg.sample_interval / dt)))
-    recorder = Recorder(sim, total_steps, every)
+    recorder = Recorder(sim, total_steps, cfg.sample_interval)
 
     z_held = readout(normalized_state(sim.synapse_frequencies(), f_lo, f_hi), rls.w)
     ui = 0

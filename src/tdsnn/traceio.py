@@ -14,7 +14,6 @@ from __future__ import annotations
 import json
 import platform
 import time
-from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -82,49 +81,34 @@ def environment() -> dict:
     }
 
 
-@dataclass
-class RunSummary:
-    """Scalar record of one run: config echo, metrics, seed, wall clock and
-    the environment it ran in.
+def write_run(out_dir, traces: TraceSet, command: str, seed: int, metrics: dict,
+              wall_clock_s: float, config_echo: str = "") -> None:
+    """Write a run's trace CSVs and its summary.json into out_dir.
 
-    wall_clock_s covers building and simulating; write_s is the time spent
-    writing the trace CSVs, which wall_clock_s leaves out.
+    summary.json holds the command, seed, metrics, config echo and the
+    environment, wall_clock_s (the time the run took before writing) and
+    write_s (the time the CSVs took). A metric that is not finite raises
+    ValueError before anything is written.
     """
-
-    command: str
-    seed: int
-    metrics: dict = field(default_factory=dict)
-    config_echo: str = ""
-    wall_clock_s: float = 0.0
-    write_s: float = 0.0
-
-    def validate(self) -> None:
-        for key, value in self.metrics.items():
-            if not np.isfinite(value):
-                raise ValueError(f"metric {key!r} is not finite: {value}")
-
-    def to_json(self) -> str:
-        self.validate()
-        payload = {
-            "command": self.command,
-            "seed": self.seed,
-            "metrics": {k: float(v) for k, v in sorted(self.metrics.items())},
-            "config_echo": self.config_echo,
-            "wall_clock_s": round(self.wall_clock_s, 3),
-            "write_s": round(self.write_s, 3),
-            "environment": environment(),
-        }
-        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
-
-
-def write_summary(summary: RunSummary, out_dir) -> str:
+    for key, value in metrics.items():
+        if not np.isfinite(value):
+            raise ValueError(f"metric {key!r} is not finite: {value}")
+    with Stopwatch() as sw:
+        write_traces(traces, out_dir)
+    payload = {
+        "command": command,
+        "seed": seed,
+        "metrics": {k: float(v) for k, v in sorted(metrics.items())},
+        "config_echo": config_echo,
+        "wall_clock_s": round(wall_clock_s, 3),
+        "write_s": round(sw.elapsed, 3),
+        "environment": environment(),
+    }
     path = Path(out_dir) / "summary.json"
     try:
-        with open(path, "w") as fh:
-            fh.write(summary.to_json())
+        path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     except OSError as exc:
         raise OSError(f"cannot write summary {path}: {exc}") from exc
-    return str(path)
 
 
 class Stopwatch:

@@ -21,7 +21,10 @@ def test_simulate_neuron_writes_traces_and_summary(tmp_path, capsys):
     for name in TRACE_FILES:
         assert (out / name).is_file(), name
     summary = json.loads((out / "summary.json").read_text())
+    assert sorted(summary) == ["command", "config_echo", "environment", "metrics",
+                               "seed", "wall_clock_s", "write_s"]
     assert summary["command"] == "simulate-neuron"
+    assert summary["metrics"]["spikes"] == 2.0
     assert summary["write_s"] >= 0
     environment = summary["environment"]
     assert environment["python"] == platform.python_version()
@@ -154,6 +157,27 @@ def test_non_finite_config_value_exits_1(command, line, message, tmp_path, capsy
                       "--out", str(tmp_path / "out")]
     assert main(argv) == 1
     assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+
+
+def test_learn_interval_longer_than_the_run_exits_1(tmp_path, capsys):
+    # the default run is 7 periods of a 10-Hz target: 0.7 s
+    out = tmp_path / "out"
+    argv = ["reservoir", "train", "--config",
+            str(_config_with(tmp_path, "learn_interval = 1e300")), "--out", str(out)]
+    assert main(argv) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "error: learn_interval = 1e+300 s is longer than the run (0.7 s), "
+        "so the readout would never update"]
+    assert not out.exists()
+
+
+def test_sample_interval_past_the_run_writes_the_time_zero_sample(tmp_path):
+    out = tmp_path / "out"
+    argv = ["network", "run", "--config",
+            str(_config_with(tmp_path, "sample_interval = 1e15")),
+            "--duration", "0.01", "--out", str(out)]
+    assert main(argv) == 0
+    assert (out / "membrane.csv").read_text() == "time_s,neuron_id,v_mem\n0,0,0\n"
 
 
 @pytest.mark.parametrize("line, option, message", [

@@ -9,39 +9,10 @@ import pytest
 
 from tdsnn import (CalibrationError, NetworkConfig, NetworkSim, NeuronParams,
                    NeuronState, SynapseParams, SynapseState, build_network,
-                   calibrate, firing_rate, free_run_period, neuron_step,
-                   osc_frequency, periodic_train, steady_state_frequency,
-                   synapse_step)
+                   calibrate, free_run_period, neuron_step, osc_frequency,
+                   periodic_train, steady_state_frequency, synapse_step)
 from tdsnn.measure import run_neuron, run_synapse, weighted_drive
 from tdsnn.pulses import regular_times
-
-
-def test_firing_rate_regular_train():
-    spikes = np.arange(1, 201) * 0.005  # 200 Hz for 1 s
-    assert firing_rate(spikes, 0.1, 10) == pytest.approx(200.0)
-
-
-def test_firing_rate_empty():
-    assert firing_rate([], 0.1, 10) == 0.0
-
-
-def test_firing_rate_insufficient_recording():
-    with pytest.raises(ValueError):
-        firing_rate([0.05], 0.1, 10, duration=0.5)
-
-
-def test_firing_rate_invalid_args():
-    with pytest.raises(ValueError):
-        firing_rate([0.05], 0.0, 10)
-    with pytest.raises(ValueError):
-        firing_rate([0.05], 0.1, 0)
-
-
-def test_firing_rate_partition_phase_invariance():
-    spikes = np.arange(1, 2001) * 0.005  # periodic, 10 s
-    r1 = firing_rate(spikes, 0.1, 100)
-    r2 = firing_rate(spikes, 0.25, 40)
-    assert r1 == pytest.approx(r2, rel=1e-6)
 
 
 def test_firing_rate_matches_closed_form_over_1024_windows():
@@ -50,7 +21,7 @@ def test_firing_rate_matches_closed_form_over_1024_windows():
     dt = 5e-5
     duration = 102.4
     spikes, _ = run_neuron(params, duration, dt)
-    est = firing_rate(spikes, 0.1, 1024, duration=duration)
+    est = len(spikes) / duration
     assert est == pytest.approx(1.0 / free_run_period(params), rel=0.01)
 
 

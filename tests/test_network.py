@@ -182,6 +182,15 @@ def test_trace_sampling_grid():
     assert traces.v_mem.shape == (len(traces.sample_times), 2)
 
 
+def test_sample_interval_past_the_run_records_only_time_zero():
+    # 1e15 s is 1e20 steps of 1e-5 s, more than an int64 holds
+    net = build_network(NetworkConfig(n_neurons=2, sample_interval=1e15))
+    traces = simulate(net, None, 0.01)
+    assert traces.sample_times.tolist() == [0.0]
+    assert traces.v_mem.shape == traces.v_syn.shape == (1, 2)
+    assert all(len(s) for s in traces.spikes)  # free runs at 200 Hz
+
+
 def test_config_validation():
     with pytest.raises(ConfigurationError):
         NetworkConfig(n_neurons=0)
@@ -546,7 +555,7 @@ def assert_advance_matches_steps(make_sim, chunks):
         v.append(oracle.v)
         sv.append(oracle.sv)
     sim = make_sim()
-    recorder = Recorder(sim, n_steps, 1)
+    recorder = Recorder(sim, n_steps, sim.dt)
     for chunk in chunks:
         sim.advance(chunk, recorder=recorder)
     traces = recorder.traces(n_steps * sim.dt)
@@ -1071,7 +1080,7 @@ def test_external_inhibition_that_clamps_every_membrane_matches_steps(membrane_p
     for k in range(n_steps):
         fired.append(oracle.step(None, inh[k]))
         v.append(oracle.v)
-    recorder = Recorder(sim, n_steps, 1)
+    recorder = Recorder(sim, n_steps, sim.dt)
     sim.advance(n_steps, None, inh, recorder)
     traces = recorder.traces(n_steps * sim.dt)
     assert traces.v_mem[1:].tobytes() == np.array(v).tobytes()

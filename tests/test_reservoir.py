@@ -3,8 +3,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from tdsnn import (ConfigurationError, FeedbackParams, NetworkConfig, NetworkSim,
-                   RlsState, TargetSpec, TrainConfig, build_network,
+from tdsnn import (ConfigurationError, FeedbackParams, Network, NetworkConfig,
+                   NetworkSim, RlsState, TargetSpec, TrainConfig, build_network,
                    encode_feedback, evaluate, normalized_state, readout,
                    rls_update, train_force)
 from tdsnn.reservoir import _PulseEmitter
@@ -230,7 +230,7 @@ def test_untrained_random_readout_is_worse():
 
 def test_train_force_rejects_a_frequency_range_that_undersamples_the_ring():
     # dt * f_max = 1e-5 * 6e4 = 0.6: the network's own synapse is fine, so
-    # only the override of the frequency range undersamples.
+    # only the reservoir's frequency range undersamples.
     net, tcfg, fb = _small_setup(frequency_range=(15.0, 6e4))
     with pytest.raises(ConfigurationError, match="undersamples the oscillator"):
         train_force(net, tcfg, fb)
@@ -302,8 +302,9 @@ def stepped_train_force(network, train_cfg, fb):
     cfg = network.config
     dt, n = cfg.dt, cfg.n_neurons
     f_lo, f_hi = train_cfg.frequency_range
-    sim = NetworkSim(network, synapse_override=replace(
-        cfg.synapse, f_min=f_lo, f_max=f_hi))
+    cfg = replace(cfg, synapse=replace(cfg.synapse, f_min=f_lo, f_max=f_hi))
+    sim = NetworkSim(Network(cfg, network.pre, network.post, network.is_exc,
+                             network.codes))
     target = train_cfg.target
     steps_per_period = int(round(1.0 / target.frequency / dt))
     train_steps = train_cfg.train_periods * steps_per_period

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tdsnn import TraceSet, _csvtext, write_traces
+from tdsnn import TraceSet, _csvtext, write_run, write_traces
 
 DATA = Path(__file__).parent / "data" / "traceio"
 FILES = ("spikes.csv", "membrane.csv", "synapse.csv", "output.csv")
@@ -56,6 +56,15 @@ def test_write_traces_matches_golden_bytes(case, tmp_path):
     for name in FILES:
         expected = (DATA / case / name).read_bytes()
         assert (tmp_path / "out" / name).read_bytes() == expected, name
+
+
+@pytest.mark.parametrize("value", [NAN, INF])
+def test_write_run_rejects_a_metric_that_is_not_finite(value, tmp_path):
+    out = tmp_path / "out"
+    with pytest.raises(ValueError, match="metric 'nrmse' is not finite"):
+        write_run(out, golden_traces("empty"), "reservoir train", 0,
+                  {"mean_abs_err": 0.5, "nrmse": value}, 1.0)
+    assert not (out / "summary.json").exists()
 
 
 @pytest.mark.parametrize("case", ["network", "readout", "empty"])
