@@ -22,8 +22,8 @@ from .config import (SimulationConfig, coerce_number, parse_config,
 from .errors import CalibrationError, ConfigurationError
 from .measure import (ANCHOR_TOLERANCES, PAPER_ANCHORS, calibrate,
                       run_synapse, weighted_drive)
-from .network import NetworkConfig, TraceSet, build_network, simulate
-from .reservoir import RlsState, evaluate, train_force
+from .network import NetworkConfig, TraceSet, build_network, sample_stride, simulate
+from .reservoir import autonomous_metrics, train_force
 from .pulses import check_duration, regular_times
 from .traceio import Stopwatch, write_run
 from .weight import N_CODES
@@ -74,7 +74,7 @@ def _check_rate(option: str, rate: float, dt: float) -> None:
 def cmd_simulate_neuron(args) -> int:
     _check_rate("--input-freq", args.input_freq, args.dt)
     with Stopwatch() as sw:
-        cfg = NetworkConfig(n_neurons=1, seed=args.seed, dt=args.dt)
+        cfg = NetworkConfig(n_neurons=1, dt=args.dt)
         net = build_network(cfg)
         ext = None
         if args.input_freq > 0:
@@ -87,7 +87,7 @@ def cmd_simulate_neuron(args) -> int:
     rate = n_spikes / args.duration
     print(f"neuron: {n_spikes} spikes in {args.duration:g} s ({rate:.2f} Hz)")
     if args.trace:
-        write_run(args.trace, traces, "simulate-neuron", args.seed,
+        write_run(args.trace, traces, "simulate-neuron", 0,
                   {"spikes": n_spikes, "rate_hz": rate}, sw.elapsed)
     return 0
 
@@ -107,8 +107,8 @@ def cmd_simulate_synapse(args) -> int:
           f"({rate:.2f} Hz)")
     if args.trace:
         times, v_syn, freq = trace
-        every = max(1, int(round(NetworkConfig().sample_interval / args.dt)))
-        sel = slice(None, None, every)
+        sel = slice(None, None, sample_stride(NetworkConfig().sample_interval, args.dt,
+                                              len(times) - 1))
         traces = TraceSet(dt=args.dt, duration=args.duration, n_neurons=1,
                           spikes=[edges], sample_times=times[sel],
                           v_mem=np.zeros((len(times[sel]), 1)),
@@ -137,13 +137,6 @@ def cmd_network_run(args) -> int:
     return 0
 
 
-def _autonomous_metrics(traces) -> dict:
-    sel = traces.z_times > traces.train_end_time
-    if not sel.any():
-        return {}
-    return evaluate(traces.z[sel], traces.target[sel])
-
-
 def cmd_reservoir_train(args) -> int:
     cfg = _load_config(args.config)
     train_cfg = cfg.train
@@ -155,10 +148,11 @@ def cmd_reservoir_train(args) -> int:
     with Stopwatch() as sw:
         net = build_network(net_cfg)
         rls, traces = train_force(net, train_cfg, cfg.feedback)
-        metrics = _autonomous_metrics(traces)
+        metrics = autonomous_metrics(traces)
     lo, hi = train_cfg.frequency_range
-    print(f"reservoir train: range {lo:g}-{hi:g} Hz, "
-          f"autonomous NRMSE = {metrics.get('nrmse', float('nan')):.4f}")
+    score = (f"autonomous NRMSE = {metrics['nrmse']:.4f}" if metrics
+             else "no autonomous periods to score")
+    print(f"reservoir train: range {lo:g}-{hi:g} Hz, {score}")
     cfg_echo = serialize_config(
         SimulationConfig(network=net_cfg, train=train_cfg, feedback=cfg.feedback))
     write_run(args.out, traces, "reservoir train", net_cfg.seed, metrics,
@@ -215,10 +209,8 @@ def cmd_reservoir_eval(args) -> int:
                         eval_periods=args.periods)
     with Stopwatch() as sw:
         net = build_network(cfg.network)
-        init = RlsState.initial(cfg.network.n_neurons, cfg.train.rls_init_alpha)
-        init.w = w
-        rls, traces = train_force(net, train_cfg, cfg.feedback, init_rls=init)
-        metrics = evaluate(traces.z, traces.target)
+        _, traces = train_force(net, train_cfg, cfg.feedback, init_w=w)
+        metrics = autonomous_metrics(traces)
     print(f"reservoir eval: NRMSE = {metrics['nrmse']:.4f} over "
           f"{args.periods} periods")
     if args.out:
@@ -282,7 +274,6 @@ def build_parser() -> _Parser:
                    metavar=f"0-{N_CODES - 1}")
     p.add_argument("--polarity", choices=("exc", "inh"), default="exc")
     p.add_argument("--dt", type=float, default=1e-5)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--trace", metavar="DIR", default=None)
     p.set_defaults(func=cmd_simulate_neuron)
 

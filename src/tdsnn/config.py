@@ -64,7 +64,7 @@ _PARAM_SECTIONS = {
 }
 
 # The target is flattened into [reservoir] under these key names.
-_RENAMES = {TargetSpec: {"kind": "target_kind", "frequency": "target_freq_hz",
+_RENAMES = {TargetSpec: {"frequency": "target_freq_hz",
                          "amplitude": "target_amplitude"}}
 
 
@@ -101,7 +101,7 @@ def _coerce(section, key, default, value):
         if not (isinstance(value, list) and len(value) == len(default)):
             raise ConfigurationError(f"[{section}] {key} must be [f_min, f_max]")
         return tuple(coerce_number(section, key, x) for x in value)
-    expected = {bool: "true/false", int: "an integer", str: "a string"}[kind]
+    expected = {bool: "true/false", int: "an integer"}[kind]
     if type(value) is not kind:  # type, not isinstance: true is not an integer
         raise ConfigurationError(f"[{section}] {key} must be {expected}")
     return value
@@ -181,8 +181,6 @@ def _fmt(value, default) -> str:
         return repr(float(value))
     if kind is tuple:
         return "[" + ", ".join(repr(float(x)) for x in value) + "]"
-    if kind is str:
-        return f'"{value}"'
     return str(value)
 
 

@@ -701,18 +701,23 @@ class NetworkSim:
         phase[end, cs] = new[-1]
 
 
+def sample_stride(sample_interval: float, dt: float, n_steps: int) -> int:
+    """The steps between two trace samples of an n_steps run:
+    round(sample_interval / dt), at least 1. An interval of more than
+    n_steps steps gives n_steps + 1, so only the time-0 sample is taken."""
+    return max(1, int(round(min(sample_interval / dt, n_steps + 1))))
+
+
 class Recorder:
-    """Samples a run's state every sample_interval and collects its spikes.
+    """Samples a run's state every sample_stride steps, collects its spikes.
 
     simulate and train_force share it; the sample at time 0 is taken from
-    the kernel's state when the recorder is made. Samples fall every
-    round(sample_interval / dt) steps, at least 1; an interval of more
-    than n_steps steps gives the time-0 sample only.
+    the kernel's state when the recorder is made.
     """
 
     def __init__(self, sim: NetworkSim, n_steps: int, sample_interval: float):
         self.sim = sim
-        self.every = max(1, int(round(min(sample_interval / sim.dt, n_steps + 1))))
+        self.every = sample_stride(sample_interval, sim.dt, n_steps)
         n_samples = n_steps // self.every + 1
         self.sample_times = np.empty(n_samples)
         self.v_mem = np.empty((n_samples, sim.n))

@@ -52,10 +52,6 @@ class PulseTrain:
         if np.any(ends[:-1] > self.rises[1:]):
             raise ValueError("pulses within one train must not overlap")
 
-    @classmethod
-    def empty(cls) -> "PulseTrain":
-        return cls(np.empty(0), np.empty(0))
-
     def __len__(self) -> int:
         return len(self.rises)
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Optional
 
 import numpy as np
 
@@ -107,15 +106,12 @@ def encode_feedback(z, params: FeedbackParams):
 
 @dataclass(frozen=True)
 class TargetSpec:
-    """Supervisory signal; only sine targets are defined."""
+    """Supervisory signal: the sine amplitude * sin(2 pi frequency t)."""
 
-    kind: str = "sine"
     frequency: float = 10.0
     amplitude: float = 0.8
 
     def __post_init__(self):
-        if self.kind != "sine":
-            raise ConfigurationError(f"unknown target kind {self.kind!r}")
         if self.frequency <= 0:
             raise ConfigurationError("target frequency must be positive")
         if self.amplitude == 0:
@@ -134,7 +130,6 @@ class TrainConfig:
     rls_init_alpha: float = 1.0
     frequency_range: tuple = (15.0, 200.0)
     teacher_forcing: bool = True
-    init_w_scale: float = 0.0
 
     def __post_init__(self):
         if self.train_periods < 0:
@@ -182,15 +177,15 @@ class _PulseEmitter:
 
 
 def train_force(network: Network, train_cfg: TrainConfig, fb: FeedbackParams,
-                init_rls: Optional[RlsState] = None) -> tuple[RlsState, TraceSet]:
+                init_w=None) -> tuple[RlsState, TraceSet]:
     """Run the reservoir with online RLS training of the readout weights.
 
     During the training periods the feedback encoder sees the target
     (teacher forcing, unless disabled); afterwards the weights are frozen
     and the loop closes on the network's own readout, held between learn
     intervals. Returns the final weights and the full traces of z, target,
-    and the sampled state vectors. Pass init_rls to start from existing
-    weights (evaluation of a stored readout).
+    and the sampled state vectors. The readout starts from init_w, or
+    from zero weights when it is None (P starts at I/rls_init_alpha).
 
     The feedback levels of each learn interval are computed before the
     interval, and its steps go through one NetworkSim.advance call, which
@@ -221,14 +216,9 @@ def train_force(network: Network, train_cfg: TrainConfig, fb: FeedbackParams,
                              network.codes))
     n = cfg.n_neurons
 
-    if init_rls is not None:
-        rls = RlsState(w=np.array(init_rls.w, dtype=float),
-                       P=np.array(init_rls.P, dtype=float))
-    else:
-        rls = RlsState.initial(n, train_cfg.rls_init_alpha)
-        if train_cfg.init_w_scale > 0:
-            rng = np.random.default_rng(cfg.seed + 1)
-            rls.w = rng.normal(0.0, train_cfg.init_w_scale / math.sqrt(n), n)
+    rls = RlsState.initial(n, train_cfg.rls_init_alpha)
+    if init_w is not None:
+        rls.w = np.array(init_w, dtype=float)
 
     fb_steps = max(1, int(round(fb.pulse_width / dt)))
     exc_gen = _PulseEmitter(fb_steps)
@@ -289,3 +279,12 @@ def evaluate(z_trace, target_trace) -> dict:
         raise ValueError("constant target: NRMSE normalization would divide by zero")
     nrmse = math.sqrt(float(np.mean((z - tgt) ** 2))) / denom
     return {"nrmse": nrmse, "mean_abs_err": float(np.mean(np.abs(z - tgt)))}
+
+
+def autonomous_metrics(traces: TraceSet) -> dict:
+    """evaluate() over the readout samples after train_end_time, or {}
+    when the run has none (a training-only run)."""
+    auto = traces.z_times > traces.train_end_time
+    if not auto.any():
+        return {}
+    return evaluate(traces.z[auto], traces.target[auto])

@@ -55,7 +55,7 @@ def shape_pulses(rising_edges, code: int,
     if edges.ndim != 1:
         raise ValueError("rising_edges must be a 1-D sequence")
     if len(edges) == 0:
-        return PulseTrain.empty()
+        return PulseTrain()
     if np.any(np.diff(edges) <= 0):
         raise ValueError("rising_edges must be strictly increasing")
     width = pulse_width(code, params)

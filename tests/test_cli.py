@@ -24,6 +24,7 @@ def test_simulate_neuron_writes_traces_and_summary(tmp_path, capsys):
     assert sorted(summary) == ["command", "config_echo", "environment", "metrics",
                                "seed", "wall_clock_s", "write_s"]
     assert summary["command"] == "simulate-neuron"
+    assert summary["seed"] == 0  # one neuron has no connection to draw
     assert summary["metrics"]["spikes"] == 2.0
     assert summary["write_s"] >= 0
     environment = summary["environment"]
@@ -203,6 +204,62 @@ def test_weight_code_out_of_range_exits_1(argv, tmp_path, capsys):
     err = capsys.readouterr().err.splitlines()
     assert err[-1].startswith(f"error: argument --weight-code: invalid choice: {argv[1]}")
     assert not out.exists()
+
+
+def test_simulate_neuron_has_no_seed_option(capsys):
+    with pytest.raises(SystemExit) as exit_:
+        main(["simulate-neuron", "--duration", "0.01", "--seed", "1"])
+    assert exit_.value.code == 1
+    assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+
+
+def test_simulate_synapse_samples_at_the_rounded_stride(tmp_path):
+    # sample_interval / dt = 1e-4 / 3e-5 rounds to a stride of 3 steps
+    out = tmp_path / "syn"
+    assert main(["simulate-synapse", "--duration", "0.01", "--dt", "3e-5",
+                 "--trace", str(out)]) == 0
+    times = np.loadtxt(out / "synapse.csv", delimiter=",", skiprows=1, usecols=0)
+    steps = np.arange(0, 334, 3)  # round(0.01 / 3e-5) = 333 steps, 334 states
+    assert len(times) == len(steps)
+    assert times == pytest.approx(steps * 3e-5, rel=1e-8)
+
+
+@pytest.mark.parametrize("line", ['target_kind = "sine"', "init_w_scale = 0.0"])
+def test_removed_reservoir_key_exits_1_naming_it(line, tmp_path, capsys):
+    key = line.split()[0]
+    text = serialize_config(SimulationConfig()).replace(
+        "[reservoir]\n", f"[reservoir]\n{line}\n")
+    config = tmp_path / "run.toml"
+    config.write_text(text)
+    weights = tmp_path / "weights.json"
+    weights.write_text(json.dumps({"w": [0.0], "config": text}))
+    for argv in (["reservoir", "train", "--config", str(config),
+                  "--out", str(tmp_path / "out")],
+                 ["reservoir", "eval", "--weights", str(weights)]):
+        assert main(argv) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: [reservoir] unknown key(s): {key}"]
+    assert not (tmp_path / "out").exists()
+
+
+def test_training_only_run_scores_nothing_and_its_weights_evaluate(tmp_path, capsys):
+    config = tmp_path / "run.toml"
+    config.write_text("[network]\nn_neurons = 20\nconnection_probability = 0.2\n\n"
+                      "[reservoir]\ntrain_periods = 1\neval_periods = 0\n")
+    out = tmp_path / "train"
+    assert main(["reservoir", "train", "--config", str(config), "--out", str(out)]) == 0
+    printed = capsys.readouterr().out
+    assert "no autonomous periods to score" in printed
+    assert "nan" not in printed.lower()
+    assert json.loads((out / "summary.json").read_text())["metrics"] == {}
+
+    evaluated = tmp_path / "eval"
+    assert main(["reservoir", "eval", "--weights", str(out / "weights.json"),
+                 "--periods", "1", "--out", str(evaluated)]) == 0
+    metrics = json.loads((evaluated / "summary.json").read_text())["metrics"]
+    assert sorted(metrics) == ["mean_abs_err", "nrmse"]
+    assert np.isfinite(metrics["nrmse"]) and np.isfinite(metrics["mean_abs_err"])
+    assert f"NRMSE = {metrics['nrmse']:.4f} over 1 periods" in capsys.readouterr().out
 
 
 def test_zero_target_amplitude_exits_1_before_simulating(tmp_path, capsys, monkeypatch):

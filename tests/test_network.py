@@ -449,7 +449,7 @@ def test_external_levels_match_the_step_levels_of_each_train():
                        np.array([7.0, 4.0, 0.5, 0.5, 9.0]) * dt)
     assert exact.ends[1] == np.arange(n_steps)[14] * dt
     inputs = {0: (random_train(), None), 1: (None, random_train()),
-              2: (random_train(), random_train()), 3: (exact, PulseTrain.empty()),
+              2: (random_train(), random_train()), 3: (exact, PulseTrain()),
               5: (None, exact)}
     assert all(train.ends[-1] > n_steps * dt for pair in inputs.values()
                for train in pair if train is not None and len(train))
@@ -470,7 +470,7 @@ def test_external_levels_match_the_step_levels_of_each_train():
             assert run[:, i].tobytes() == expected.tobytes(), (side, i)
         runs.append(run)
     assert runs[0][[9, 10, 13, 20], 3].all() and not runs[0][[14, 21, 30, 31], 3].any()
-    assert _external_levels({0: (PulseTrain.empty(), None)}, n, dt,
+    assert _external_levels({0: (PulseTrain(), None)}, n, dt,
                             n_steps) == (None, None)
     for idx in (n, -1):
         with pytest.raises(ConfigurationError, match="unknown neuron"):

@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -7,7 +8,7 @@ from tdsnn import (ConfigurationError, FeedbackParams, Network, NetworkConfig,
                    NetworkSim, RlsState, TargetSpec, TrainConfig, build_network,
                    encode_feedback, evaluate, normalized_state, readout,
                    rls_update, train_force)
-from tdsnn.reservoir import _PulseEmitter
+from tdsnn.reservoir import _PulseEmitter, autonomous_metrics
 
 
 # ---------------------------------------------------------------------------
@@ -222,10 +223,32 @@ def test_untrained_random_readout_is_worse():
     sel = tr.z_times > tr.train_end_time
     trained = evaluate(tr.z[sel], tr.target[sel])["nrmse"]
 
-    random_cfg = TrainConfig(train_periods=0, eval_periods=2, init_w_scale=1.0)
-    _, tr_rand = train_force(net, random_cfg, fb)
+    n = net.n_neurons
+    rng = np.random.default_rng(net.config.seed + 1)
+    random_w = rng.normal(0.0, 1.0 / math.sqrt(n), n)
+    random_cfg = TrainConfig(train_periods=0, eval_periods=2)
+    _, tr_rand = train_force(net, random_cfg, fb, init_w=random_w)
     rand = evaluate(tr_rand.z, tr_rand.target)["nrmse"]
     assert rand > trained
+
+
+def test_autonomous_metrics_score_only_the_samples_after_training():
+    net, tcfg, fb = _small_setup(train_periods=1, eval_periods=1)
+    _, tr = train_force(net, tcfg, fb)
+    auto = tr.z_times > tr.train_end_time
+    assert autonomous_metrics(tr) == evaluate(tr.z[auto], tr.target[auto])
+    _, tr_forced = train_force(net, replace(tcfg, eval_periods=0), fb)
+    assert autonomous_metrics(tr_forced) == {}
+
+
+def test_init_w_is_the_starting_readout_and_is_not_mutated():
+    net, _, fb = _small_setup()
+    w = np.linspace(-1.0, 1.0, net.n_neurons)
+    given = w.copy()
+    rls, tr = train_force(net, TrainConfig(train_periods=1, eval_periods=0), fb, init_w=w)
+    assert np.array_equal(w, given)
+    assert tr.z[0] == readout(tr.r_states[0], w)  # the first sample scores w itself
+    assert not np.array_equal(rls.w, w)  # training moved it
 
 
 def test_train_force_rejects_a_frequency_range_that_undersamples_the_ring():
@@ -237,8 +260,6 @@ def test_train_force_rejects_a_frequency_range_that_undersamples_the_ring():
 
 
 def test_target_spec_validation():
-    with pytest.raises(ConfigurationError):
-        TargetSpec(kind="square")
     with pytest.raises(ConfigurationError):
         TargetSpec(frequency=0.0)
     with pytest.raises(ConfigurationError, match="target amplitude must not be 0"):
