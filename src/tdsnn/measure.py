@@ -111,7 +111,10 @@ def calibrate(anchors: dict = None, neuron: NeuronParams = NeuronParams(),
     tolerances = dict(ANCHOR_TOLERANCES) if tolerances is None else dict(tolerances)
     unknown = set(anchors) - set(PAPER_ANCHORS)
     if unknown:
-        raise ValueError(f"unknown anchor names: {sorted(unknown)}")
+        raise ValueError(f"unknown anchor(s): {', '.join(sorted(unknown))}")
+    for key, value in anchors.items():
+        if not (value > 0 and math.isfinite(value)):
+            raise ValueError(f"[anchors] {key} must be positive")
 
     achieved = {}
     residuals = {}

@@ -73,10 +73,12 @@ class NetworkConfig:
         if self.seed < 0:
             raise ConfigurationError(f"seed must be >= 0, got {self.seed}")
         check_dt(self.synapse, self.dt)
-        if self.dt > self.neuron.spike_width:
+        rise = (self.neuron.r_base + self.neuron.r_exc) * self.dt
+        if not rise < self.neuron.v_th:
             raise ConfigurationError(
-                "dt must not exceed the neuron spike width (spikes would be skipped)")
-        if self.sample_interval < self.dt:
+                f"dt={self.dt:g} is too coarse for a driven neuron "
+                f"(need (r_base + r_exc)*dt < v_th = {self.neuron.v_th:g}, got {rise:g})")
+        if not self.sample_interval >= self.dt:
             raise ConfigurationError("sample_interval must be >= dt")
 
 
@@ -236,6 +238,8 @@ class NetworkSim:
     fewer than v_th / ((r_base + r_exc) * dt) rows, so no neuron fires
     twice in it, fewer than 1 / (f_max * dt) - 1, so no ring wraps twice
     in it, and at most _WINDOW_CELLS / N, so its planes stay in cache.
+    NetworkConfig keeps both bounds above one row: it requires
+    (r_base + r_exc) * dt < v_th, and check_dt requires f_max * dt < 0.5.
     """
 
     # Cells (rows x neurons) of each window plane. Past about this many the
@@ -283,7 +287,9 @@ class NetworkSim:
         # unless its neuron just fired), so it cannot wrap twice in fewer
         # than 1 / (f_max * dt) - 1 steps; 1e-9 covers rounding. A window
         # never holds more rows than either bound, nor more than
-        # _WINDOW_CELLS / n.
+        # _WINDOW_CELLS / n. NetworkConfig requires (r_base + r_exc) * dt
+        # < v_th and f_max * dt < 0.5, so both bounds exceed one row and
+        # the one-row window that max(..., 1) leaves keeps them too.
         p = self.neuron
         self._phase_step = self.dt * self.synapse.f_max
         self._max_rows = max(min(math.floor(p.v_th / ((p.r_base + p.r_exc) * self.dt)) - 1,

@@ -31,24 +31,20 @@ class NeuronParams:
         free-run rate v_th/r_base. Default gives 200 Hz free-run.
     r_exc: extra charging rate while an excitatory pulse is high (V/s).
     r_inh: discharging rate while an inhibitory pulse is high (V/s).
-    spike_width: width of the emitted output spike (s).
     """
 
     v_th: float = 0.5
     r_base: float = 100.0
     r_exc: float = 200.0
     r_inh: float = 750.0
-    spike_width: float = 100e-6
 
     def __post_init__(self):
-        if self.v_th <= 0:
+        if not self.v_th > 0:
             raise ValueError("v_th must be positive")
-        if self.r_base <= 0:
+        if not self.r_base > 0:
             raise ValueError("r_base must be positive (the free neuron must fire)")
-        if self.r_exc < 0 or self.r_inh < 0:
+        if not (self.r_exc >= 0 and self.r_inh >= 0):
             raise ValueError("r_exc and r_inh must be nonnegative")
-        if self.spike_width <= 0:
-            raise ValueError("spike_width must be positive")
 
 
 @dataclass

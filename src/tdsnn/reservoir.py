@@ -83,7 +83,7 @@ class FeedbackParams:
     pulse_width: float = 200e-6
 
     def __post_init__(self):
-        if self.gain <= 0 or self.f_fb_max <= 0 or self.pulse_width <= 0:
+        if not (self.gain > 0 and self.f_fb_max > 0 and self.pulse_width > 0):
             raise ValueError("feedback gain, cap, and pulse width must be positive")
 
 
@@ -112,9 +112,9 @@ class TargetSpec:
     amplitude: float = 0.8
 
     def __post_init__(self):
-        if self.frequency <= 0:
+        if not self.frequency > 0:
             raise ConfigurationError("target frequency must be positive")
-        if self.amplitude == 0:
+        if not abs(self.amplitude) > 0:
             raise ConfigurationError("target amplitude must not be 0 (a constant target)")
 
     def value(self, t):
@@ -132,15 +132,15 @@ class TrainConfig:
     teacher_forcing: bool = True
 
     def __post_init__(self):
-        if self.train_periods < 0:
+        if not self.train_periods >= 0:
             raise ConfigurationError("train_periods must be >= 0")
-        if self.eval_periods < 0:
+        if not self.eval_periods >= 0:
             raise ConfigurationError("eval_periods must be >= 0")
-        if self.train_periods + self.eval_periods < 1:
+        if not self.train_periods + self.eval_periods >= 1:
             raise ConfigurationError("must run at least one period")
-        if self.learn_interval <= 0:
+        if not self.learn_interval > 0:
             raise ConfigurationError("learn_interval must be positive")
-        if self.rls_init_alpha <= 0:
+        if not self.rls_init_alpha > 0:
             raise ConfigurationError("rls_init_alpha must be positive")
         f_lo, f_hi = self.frequency_range
         if not 0 < f_lo < f_hi:

@@ -41,7 +41,7 @@ class SynapseParams:
     def __post_init__(self):
         if not 0 < self.delta_up <= 1:
             raise ValueError("delta_up must be in (0, 1]")
-        if self.tau_leak <= 0:
+        if not self.tau_leak > 0:
             raise ValueError("tau_leak must be positive")
         if not 0 <= self.v_osc < self.v_max:
             raise ValueError("need 0 <= v_osc < v_max")

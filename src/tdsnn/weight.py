@@ -29,9 +29,9 @@ class WeightParams:
     w0: float = 0.0
 
     def __post_init__(self):
-        if self.tau_unit <= 0:
+        if not self.tau_unit > 0:
             raise ValueError("tau_unit must be positive")
-        if self.w0 < 0:
+        if not self.w0 >= 0:
             raise ValueError("w0 must be nonnegative")
 
 

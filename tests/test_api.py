@@ -10,7 +10,7 @@ def test_every_exported_name_resolves_and_the_deleted_ones_are_gone():
                (tdsnn, "write_summary"), (tdsnn.traceio, "write_summary"),
                (tdsnn.NetworkSim, "t"), (tdsnn.PulseTrain, "levels"),
                (tdsnn.PulseTrain, "empty"), (tdsnn.TargetSpec, "kind"),
-               (tdsnn.TrainConfig, "init_w_scale")]
+               (tdsnn.TrainConfig, "init_w_scale"), (tdsnn.NeuronParams, "spike_width")]
     assert [(owner.__name__, name) for owner, name in deleted
             if hasattr(owner, name)] == []
     assert list(inspect.signature(tdsnn.NetworkSim).parameters) == ["network"]

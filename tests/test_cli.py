@@ -40,34 +40,16 @@ def test_missing_config_exits_1(tmp_path, capsys):
     assert "cannot read config" in capsys.readouterr().err
 
 
-def test_malformed_range_exits_1(tmp_path, capsys):
-    config = tmp_path / "run.toml"
-    config.write_text(serialize_config(SimulationConfig()))
-    argv = ["reservoir", "train", "--config", str(config), "--range", "15-200",
-            "--out", str(tmp_path / "out")]
-    assert main(argv) == 1
-    assert "range must look like '15:200'" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("option, line, message", [
-    (["--range", "50:50"], None, "frequency_range must satisfy 0 < f_min < f_max"),
-    ([], "frequency_range = [50.0, 50.0]",
-     "[reservoir] frequency_range must satisfy 0 < f_min < f_max"),
-], ids=["option", "config"])
-def test_equal_frequency_range_exits_1(option, line, message, tmp_path, capsys):
+@pytest.mark.parametrize("line", ["frequency_range = [50.0, 50.0]"], ids=["config"])
+def test_equal_frequency_range_exits_1(line, tmp_path, capsys):
     # f_min = f_max would leave normalized_state nothing to divide by
-    text = serialize_config(SimulationConfig())
-    if line is not None:
-        text = "\n".join(line if row.startswith("frequency_range ") else row
-                         for row in text.splitlines())
-    config = tmp_path / "run.toml"
-    config.write_text(text)
-    argv = ["reservoir", "train", "--config", str(config),
-            "--out", str(tmp_path / "out")] + option
+    argv = ["reservoir", "train", "--config", str(_config_with(tmp_path, line)),
+            "--out", str(tmp_path / "out")]
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         assert main(argv) == 1
-    assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+    assert capsys.readouterr().err.splitlines() == [
+        "error: [reservoir] frequency_range must satisfy 0 < f_min < f_max"]
 
 
 def test_trace_dir_under_a_regular_file_exits_2(tmp_path, capsys):
@@ -160,6 +142,16 @@ def test_non_finite_config_value_exits_1(command, line, message, tmp_path, capsy
     assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
 
 
+def test_neuron_faster_than_the_step_exits_1(tmp_path, capsys):
+    # (r_base + r_exc) * dt = 60100 * 1e-5 passes v_th = 0.5: a driven
+    # neuron would have to fire more than once in a step
+    config = _config_with(tmp_path, "r_exc = 60000.0")
+    assert main(["network", "run", "--config", str(config)]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "error: [network] dt=1e-05 is too coarse for a driven neuron "
+        "(need (r_base + r_exc)*dt < v_th = 0.5, got 0.601)"]
+
+
 def test_learn_interval_longer_than_the_run_exits_1(tmp_path, capsys):
     # the default run is 7 periods of a 10-Hz target: 0.7 s
     out = tmp_path / "out"
@@ -213,6 +205,14 @@ def test_simulate_neuron_has_no_seed_option(capsys):
     assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
 
 
+def test_reservoir_train_has_no_range_option(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exit_:
+        main(["reservoir", "train", "--config", str(tmp_path / "run.toml"),
+              "--range", "15:200", "--out", str(tmp_path / "out")])
+    assert exit_.value.code == 1
+    assert "unrecognized arguments: --range 15:200" in capsys.readouterr().err
+
+
 def test_simulate_synapse_samples_at_the_rounded_stride(tmp_path):
     # sample_interval / dt = 1e-4 / 3e-5 rounds to a stride of 3 steps
     out = tmp_path / "syn"
@@ -224,11 +224,17 @@ def test_simulate_synapse_samples_at_the_rounded_stride(tmp_path):
     assert times == pytest.approx(steps * 3e-5, rel=1e-8)
 
 
-@pytest.mark.parametrize("line", ['target_kind = "sine"', "init_w_scale = 0.0"])
+# Each removed key, as serialize_config wrote it, and its section. A
+# calibrate --out file is read as a config, so it is covered too.
+REMOVED_KEYS = {'target_kind = "sine"': "reservoir", "init_w_scale = 0.0": "reservoir",
+                "spike_width = 0.0001": "neuron"}
+
+
+@pytest.mark.parametrize("line", REMOVED_KEYS)
 def test_removed_reservoir_key_exits_1_naming_it(line, tmp_path, capsys):
-    key = line.split()[0]
+    key, section = line.split()[0], REMOVED_KEYS[line]
     text = serialize_config(SimulationConfig()).replace(
-        "[reservoir]\n", f"[reservoir]\n{line}\n")
+        f"[{section}]\n", f"[{section}]\n{line}\n")
     config = tmp_path / "run.toml"
     config.write_text(text)
     weights = tmp_path / "weights.json"
@@ -238,7 +244,7 @@ def test_removed_reservoir_key_exits_1_naming_it(line, tmp_path, capsys):
                  ["reservoir", "eval", "--weights", str(weights)]):
         assert main(argv) == 1
         assert capsys.readouterr().err.splitlines() == [
-            f"error: [reservoir] unknown key(s): {key}"]
+            f"error: [{section}] unknown key(s): {key}"]
     assert not (tmp_path / "out").exists()
 
 
@@ -343,6 +349,7 @@ def test_malformed_connections_exit_1(line, message, tmp_path, capsys):
     ('free_run_hz = "200"', "[anchors] free_run_hz must be a number"),
     ("free_run_hz = -200.0", "[anchors] free_run_hz must be positive"),
     ("syn_free_hz = inf", "[anchors] syn_free_hz must be finite"),
+    ("nonsense_hz = 1.0", "unknown anchor(s): nonsense_hz"),
 ])
 def test_bad_anchor_exits_1(line, message, tmp_path, capsys):
     targets = tmp_path / "anchors.toml"

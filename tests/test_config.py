@@ -1,10 +1,12 @@
+import math
 import re
 from pathlib import Path
 
 import pytest
 
-from tdsnn import (ConfigurationError, Connection, NetworkConfig,
-                   TrainConfig)
+from tdsnn import (ConfigurationError, Connection, FeedbackParams, NetworkConfig,
+                   NeuronParams, SynapseParams, TargetSpec, TrainConfig,
+                   WeightParams)
 from tdsnn.config import SimulationConfig, parse_config, serialize_config
 
 DATA = Path(__file__).parent / "data" / "config"
@@ -33,6 +35,20 @@ def test_non_finite_number_is_rejected_with_its_key(section, key, value):
     with pytest.raises(ConfigurationError,
                        match=re.escape(f"[{section}] {key} must be finite")):
         parse_config(text)
+
+
+@pytest.mark.parametrize("cls, name", [
+    (NeuronParams, "v_th"), (NeuronParams, "r_base"), (NeuronParams, "r_exc"),
+    (NeuronParams, "r_inh"), (SynapseParams, "tau_leak"), (WeightParams, "tau_unit"),
+    (WeightParams, "w0"), (FeedbackParams, "gain"), (FeedbackParams, "f_fb_max"),
+    (FeedbackParams, "pulse_width"), (TargetSpec, "frequency"),
+    (TargetSpec, "amplitude"), (TrainConfig, "learn_interval"),
+    (TrainConfig, "rls_init_alpha"), (NetworkConfig, "sample_interval"),
+])
+def test_nan_model_parameter_is_rejected(cls, name):
+    # nan fails every comparison, so each check asks for the valid range
+    with pytest.raises(ValueError):
+        cls(**{name: math.nan})
 
 
 def test_finite_numbers_still_round_trip():

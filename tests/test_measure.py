@@ -72,6 +72,13 @@ def test_calibrate_unknown_anchor_rejected():
         calibrate({"nonsense_hz": 1.0})
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, 0.0])
+def test_calibrate_rejects_an_anchor_that_is_not_finite_and_positive(value):
+    # a nan anchor used to give a nan residual and no error
+    with pytest.raises(ValueError, match=r"^\[anchors\] free_run_hz must be positive$"):
+        calibrate({"free_run_hz": value})
+
+
 @pytest.fixture(scope="module")
 def paper_fit():
     return calibrate()

@@ -198,8 +198,12 @@ def test_config_validation():
         NetworkConfig(connection_probability=1.5)
     with pytest.raises(ConfigurationError):
         NetworkConfig(dt=-1e-5)
-    with pytest.raises(ConfigurationError):
-        NetworkConfig(dt=5e-4)  # exceeds spike width
+    # (r_base + r_exc) * dt = 0.6 reaches v_th = 0.5: a driven neuron would
+    # have to fire more than once in a step
+    with pytest.raises(ConfigurationError, match=r"need \(r_base \+ r_exc\)\*dt < v_th"):
+        NetworkConfig(dt=2e-3)
+    with pytest.raises(ConfigurationError, match=r"need \(r_base \+ r_exc\)\*dt < v_th"):
+        NetworkConfig(neuron=NeuronParams(r_exc=60000.0))
     with pytest.raises(ConfigurationError):
         NetworkConfig(code_min=5, code_max=2)
     with pytest.raises(ConfigurationError):

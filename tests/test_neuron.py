@@ -141,8 +141,6 @@ def test_invalid_params_rejected():
         NeuronParams(r_base=0.0)
     with pytest.raises(ValueError):
         NeuronParams(r_exc=-1.0)
-    with pytest.raises(ValueError):
-        NeuronParams(spike_width=0.0)
 
 
 def test_run_neuron_rejects_bad_dt_and_duration():
