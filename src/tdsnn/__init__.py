@@ -8,10 +8,9 @@ trains a linear readout online with recursive least squares.
 """
 
 from .errors import CalibrationError, ConfigurationError
-from .neuron import (NeuronParams, NeuronState, free_run_period, neuron_step,
-                     run_neuron)
-from .pulses import PulseTrain, periodic_train
-from .synapse import (SynapseParams, SynapseState, osc_frequency, run_synapse,
+from .neuron import NeuronParams, free_run_period, neuron_step, run_neuron
+from .pulses import PulseTrain
+from .synapse import (SynapseParams, osc_frequency, run_synapse,
                       steady_state_frequency, steady_state_v, synapse_step)
 from .weight import WeightParams, pulse_width, shape_pulses
 from .network import (Connection, Network, NetworkConfig, NetworkSim, TraceSet,
@@ -27,9 +26,9 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CalibrationError", "ConfigurationError",
-    "NeuronParams", "NeuronState", "free_run_period", "neuron_step", "run_neuron",
-    "PulseTrain", "periodic_train",
-    "SynapseParams", "SynapseState", "osc_frequency", "run_synapse",
+    "NeuronParams", "free_run_period", "neuron_step", "run_neuron",
+    "PulseTrain",
+    "SynapseParams", "osc_frequency", "run_synapse",
     "steady_state_frequency", "steady_state_v", "synapse_step",
     "WeightParams", "pulse_width", "shape_pulses",
     "Connection", "Network", "NetworkConfig", "NetworkSim", "TraceSet",

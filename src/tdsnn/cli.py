@@ -306,7 +306,7 @@ def main(argv=None) -> int:
     except (ConfigurationError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (RuntimeError, OSError) as exc:
+    except (RuntimeError, OSError, MemoryError) as exc:
         print(f"failure: {exc}", file=sys.stderr)
         return 2
 

@@ -4,9 +4,11 @@ against the measured anchor frequencies.
 The drivers mirror the bench setup: a square-wave source stands in for a
 pre-stage synapse, a weight module shapes it into pulses, and the neuron or
 the synapse under test is stepped at a fixed dt. run_neuron and run_synapse
-(from the neuron and synapse modules) take the steps of neuron_step and
-synapse_step, bit for bit, but pay per event, not per step. A neuron
-feeding its synapse is a one-neuron NetworkSim.
+(from the neuron and synapse modules) take the steps of the per-step
+references neuron_step(v, params, exc_high, inh_high, dt) -> (v, fired)
+and synapse_step(v_syn, phase, params, spike_in, dt) -> (v_syn, phase,
+edges), bit for bit, but pay per event, not per step. A neuron feeding its
+synapse is a one-neuron NetworkSim.
 
 SciPy's optimizer loads on the first calibration fit, not on import, so
 runs that never calibrate do not pay for it.
@@ -18,8 +20,9 @@ import math
 from dataclasses import dataclass, replace
 
 from .errors import CalibrationError
-# neuron_step and synapse_step are the per-step reference that the run_*
-# functions reproduce; they stay importable from here.
+# neuron_step and synapse_step are the per-step references that the run_*
+# functions reproduce. bench/tracing.py wraps them here, so they stay
+# importable from this module.
 from .neuron import (NeuronParams, free_run_period, neuron_step,  # noqa: F401
                      run_neuron)
 from .pulses import PulseTrain, regular_times

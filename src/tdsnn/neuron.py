@@ -9,13 +9,16 @@ real circuit is treated as instantaneous.
 Dynamics are piecewise linear in time: the transistor leakage balance is
 lumped into constant rates, and the membrane capacitor is absorbed into
 them. Voltages are normalized to a 1.0 supply.
+
+neuron_step(v, params, exc_high, inh_high, dt) -> (v, fired) is the
+per-step reference, a plain function of the membrane voltage. run_neuron
+takes the same steps, bit for bit, event by event.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -47,32 +50,22 @@ class NeuronParams:
             raise ValueError("r_exc and r_inh must be nonnegative")
 
 
-@dataclass
-class NeuronState:
-    """Membrane potential plus bookkeeping for one neuron."""
-
-    v_mem: float = 0.0
-    t: float = 0.0
-    last_spike_time: Optional[float] = None
-
-
-def neuron_step(state: NeuronState, params: NeuronParams, exc_high: bool,
-                inh_high: bool, dt: float) -> tuple[NeuronState, bool]:
-    """Advance the neuron by one step of length dt.
+def neuron_step(v: float, params: NeuronParams, exc_high: bool, inh_high: bool,
+                dt: float) -> tuple[float, bool]:
+    """Advance a membrane at v by one step of length dt.
 
     The membrane ramps at the net rate for the whole step, clamped at zero
     from below. Reaching v_th fires the neuron; the reset happens at the
     crossing, so the membrane keeps the overshoot v + rate*dt - v_th that the
-    rest of the step adds. The spike is dated at the step end. Returns the
-    new state and the fired flag.
+    rest of the step adds. Returns the new membrane and the fired flag; a
+    caller dates the spike at the step end.
     """
-    if dt <= 0:
+    if not dt > 0:
         raise ValueError("dt must be positive")
-    v = max(state.v_mem + _net_rate(params, exc_high, inh_high) * dt, 0.0)
-    t = state.t + dt
+    v = max(v + _net_rate(params, exc_high, inh_high) * dt, 0.0)
     if v >= params.v_th:
-        return NeuronState(v_mem=v - params.v_th, t=t, last_spike_time=t), True
-    return NeuronState(v_mem=v, t=t, last_spike_time=state.last_spike_time), False
+        return v - params.v_th, True
+    return v, False
 
 
 def _net_rate(params: NeuronParams, exc_high: bool, inh_high: bool) -> float:
@@ -87,13 +80,14 @@ def _net_rate(params: NeuronParams, exc_high: bool, inh_high: bool) -> float:
 def run_neuron(params: NeuronParams, duration: float, dt: float,
                exc_train: PulseTrain = None, inh_train: PulseTrain = None,
                record: bool = False):
-    """Run neuron_step from rest under optional pulse drive, event by event.
+    """Run neuron_step from v = 0 under optional pulse drive, event by event.
 
     Each train is sampled at the step starts. The result is bit-identical
-    to looping over neuron_step, but the Python loop runs once per event (a
-    level change or a spike): while the levels hold, the membrane is the
-    running sum v + x + x + ... with x = rate*dt, which np.add.accumulate
-    folds in the same order, clamped at zero when x < 0. Returns
+    to looping v, fired = neuron_step(v, params, exc[k], inh[k], dt), but
+    the Python loop runs once per event (a level change or a spike): while
+    the levels hold, the membrane is the running sum v + x + x + ... with
+    x = rate*dt, which np.add.accumulate folds in the same order, clamped
+    at zero when x < 0. Returns
     (spike_times, trace) where trace is (times, v_mem) when record=True,
     else None; v_mem holds the membrane before the first step and after
     each step. Each spike is dated at the end of the step in which the

@@ -89,13 +89,3 @@ def regular_times(freq_hz: float, duration: float,
     times = start + np.arange(max(n, 0)) / freq_hz
     return times[times < duration]
 
-
-def periodic_train(freq_hz: float, width: float, duration: float,
-                   start: float = 0.0) -> PulseTrain:
-    """Regular pulse train at a fixed frequency, pulses within [start, duration)."""
-    if not math.isfinite(width):
-        raise ValueError("width must be finite")
-    rises = regular_times(freq_hz, duration, start)
-    if freq_hz > 0 and width >= 1.0 / freq_hz:
-        raise ValueError("pulse width must be shorter than the pulse period")
-    return PulseTrain(rises, np.full(len(rises), width))

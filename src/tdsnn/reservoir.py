@@ -29,7 +29,7 @@ class RlsState:
     @classmethod
     def initial(cls, n: int, alpha: float = 1.0) -> "RlsState":
         """Zero weights, P = I/alpha."""
-        if alpha <= 0:
+        if not alpha > 0:
             raise ValueError("alpha must be positive")
         return cls(w=np.zeros(n), P=np.eye(n) / alpha)
 
@@ -91,16 +91,14 @@ def encode_feedback(z, params: FeedbackParams):
     """Split the output into excitatory/inhibitory pulse rates.
 
     Positive output drives the excitatory channel, negative the inhibitory
-    one, each at gain*|z| capped at f_fb_max; at most one is nonzero. z may
-    be a float, which gives two floats, or an array, which gives two arrays.
+    one, each at gain*|z| capped at f_fb_max; at most one is nonzero.
+    Returns two arrays of z's shape.
     """
     z = np.asarray(z, dtype=float)
     if not np.all(np.isfinite(z)):
         raise ValueError("feedback input must be finite")
     f_exc = np.minimum(params.gain * np.maximum(z, 0.0), params.f_fb_max)
     f_inh = np.minimum(params.gain * np.maximum(-z, 0.0), params.f_fb_max)
-    if z.ndim == 0:
-        return float(f_exc), float(f_inh)
     return f_exc, f_inh
 
 

@@ -5,6 +5,10 @@ which otherwise leaks exponentially toward zero. Above an onset voltage the
 ring oscillates; its frequency is a linear function of V_SYN between the
 onset and saturation levels. Only rising-edge timing matters downstream, so
 the three-inverter ring is reduced to a phase accumulator.
+
+synapse_step(v_syn, phase, params, spike_in, dt) -> (v_syn, phase, edges)
+is the per-step reference, a plain function of the supply voltage and the
+phase. run_synapse takes the same steps, bit for bit, event by event.
 """
 
 from __future__ import annotations
@@ -49,14 +53,6 @@ class SynapseParams:
             raise ValueError("need 0 < f_min <= f_max")
 
 
-@dataclass
-class SynapseState:
-    """Oscillator supply voltage and phase accumulator."""
-
-    v_syn: float = 0.0
-    phase: float = 0.0
-
-
 def osc_frequency(v_syn, params: SynapseParams, out=None):
     """Ring frequency for a supply voltage: 0 below onset, else linear.
 
@@ -87,28 +83,26 @@ def check_dt(params: SynapseParams, dt: float) -> None:
             f"got {dt * params.f_max:g})")
 
 
-def synapse_step(state: SynapseState, params: SynapseParams, spike_in: bool,
-                 dt: float) -> tuple[SynapseState, list[float]]:
-    """Advance the synapse by one step of length dt.
+def synapse_step(v_syn: float, phase: float, params: SynapseParams,
+                 spike_in: bool, dt: float) -> tuple[float, float, list[float]]:
+    """Advance the synapse at (v_syn, phase) by one step of length dt.
 
     An input spike charges v_syn before the leak is applied. The phase
     accumulator advances at the current ring frequency; each wrap emits one
     rising edge, reported as an offset within the step. dt must resolve the
     fastest oscillation (dt * f_max < 0.5), which also guarantees at most
-    one edge per step.
+    one edge per step. Returns the new v_syn, the new phase and the edges.
     """
     check_dt(params, dt)
-    v = state.v_syn
+    v = v_syn
     if spike_in:
         v = v + params.delta_up * (params.v_max - v)
     v *= math.exp(-dt / params.tau_leak)
     f = osc_frequency(v, params)
-    phase = state.phase + f * dt
-    edges = []
-    if phase >= 1.0:
-        edges.append((1.0 - state.phase) / f)
-        phase -= 1.0
-    return SynapseState(v_syn=v, phase=phase), edges
+    wrapped = phase + f * dt
+    if wrapped >= 1.0:
+        return v, wrapped - 1.0, [(1.0 - phase) / f]
+    return v, wrapped, []
 
 
 def phase_wraps(phase: float, inc, window: int):
@@ -155,7 +149,8 @@ def run_synapse(params: SynapseParams, spike_times, duration: float, dt: float,
 
     A spike landing in [k*dt, (k+1)*dt) charges the synapse during step k,
     and spikes outside [0, duration) are dropped. The result is
-    bit-identical to looping over synapse_step, but the Python loop runs
+    bit-identical to looping v_syn, phase, edges = synapse_step(v_syn,
+    phase, params, spike_in[k], dt), but the Python loop runs
     once per event (a spike, a ring wrap or a silent stretch). Between
     spikes v_syn is the running product v*decay*decay*..., folded in order
     by np.multiply.accumulate; the ring phase is folded by phase_wraps (a
@@ -194,8 +189,10 @@ def steady_state_v(spike_rate: float, params: SynapseParams) -> float:
     Under constant input rate the voltage cycles between a pre-spike minimum
     and a post-spike peak; this returns the minimum.
     """
-    if spike_rate < 0:
+    if not spike_rate >= 0:
         raise ValueError("spike_rate must be nonnegative")
+    if not math.isfinite(spike_rate):
+        raise ValueError("spike_rate must be finite")
     if spike_rate == 0:
         return 0.0
     e = math.exp(-1.0 / (spike_rate * params.tau_leak))
@@ -210,12 +207,10 @@ def steady_state_frequency(spike_rate: float, params: SynapseParams) -> float:
     frozen-phase fraction where v_syn sits below onset. Matches the long-run
     edge rate of a step simulation.
     """
-    if spike_rate < 0:
-        raise ValueError("spike_rate must be nonnegative")
+    v_pre = steady_state_v(spike_rate, params)  # checks spike_rate
     if spike_rate == 0:
         return 0.0
     period = 1.0 / spike_rate
-    v_pre = steady_state_v(spike_rate, params)
     v_post = v_pre + params.delta_up * (params.v_max - v_pre)
     if v_post <= params.v_osc:
         return 0.0

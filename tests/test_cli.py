@@ -52,6 +52,17 @@ def test_equal_frequency_range_exits_1(line, tmp_path, capsys):
         "error: [reservoir] frequency_range must satisfy 0 < f_min < f_max"]
 
 
+def test_running_out_of_memory_exits_2_with_one_line(capsys, monkeypatch):
+    # NumPy raises a MemoryError subclass when an array does not fit
+    def fail(*args, **kwargs):
+        raise MemoryError("Unable to allocate 72.8 TiB for an array")
+
+    monkeypatch.setattr(cli, "simulate", fail)
+    assert main(["simulate-neuron", "--duration", "0.01"]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "failure: Unable to allocate 72.8 TiB for an array"]
+
+
 def test_trace_dir_under_a_regular_file_exits_2(tmp_path, capsys):
     blocker = tmp_path / "blocker"
     blocker.write_text("")

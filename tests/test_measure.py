@@ -8,11 +8,12 @@ import numpy as np
 import pytest
 
 from tdsnn import (CalibrationError, NetworkConfig, NetworkSim, NeuronParams,
-                   NeuronState, SynapseParams, SynapseState, build_network,
-                   calibrate, free_run_period, neuron_step, osc_frequency,
-                   periodic_train, steady_state_frequency, synapse_step)
+                   SynapseParams, build_network, calibrate, free_run_period,
+                   neuron_step, osc_frequency, steady_state_frequency,
+                   synapse_step)
 from tdsnn.measure import run_neuron, run_synapse, weighted_drive
 from tdsnn.pulses import regular_times
+from trains import periodic_train
 
 
 def test_firing_rate_matches_closed_form_over_1024_windows():
@@ -34,9 +35,8 @@ def test_weighted_drive_is_shaped_source():
 
 @pytest.mark.parametrize("build", [
     lambda duration: weighted_drive(100.0, 12, duration),
-    lambda duration: periodic_train(100.0, 1e-3, duration),
     lambda duration: regular_times(100.0, duration),
-], ids=["weighted_drive", "periodic_train", "regular_times"])
+], ids=["weighted_drive", "regular_times"])
 def test_pulse_train_builders_reject_a_duration_that_is_not_finite(build):
     for duration in (math.inf, -math.inf, math.nan):
         with pytest.raises(ValueError, match="duration must be finite"):
@@ -45,13 +45,13 @@ def test_pulse_train_builders_reject_a_duration_that_is_not_finite(build):
     assert len(build(0.05)) == 5
 
 
-@pytest.mark.parametrize("name", ["freq_hz", "width", "start"])
+@pytest.mark.parametrize("name", ["freq_hz", "start"])
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 def test_periodic_train_rejects_an_argument_that_is_not_finite(name, value):
-    args = {"freq_hz": 100.0, "width": 1e-3, "duration": 0.05, "start": 0.0}
+    args = {"freq_hz": 100.0, "duration": 0.05, "start": 0.0}
     args[name] = value
     with pytest.raises(ValueError, match=f"^{name} must be finite$"):
-        periodic_train(**args)
+        regular_times(**args)
 
 
 def test_weighted_drive_rejects_a_rate_that_is_not_finite():
@@ -151,25 +151,25 @@ def step_neuron(params, duration, dt, exc=None, inh=None):
     n = int(round(duration / dt))
     exc = exc.step_levels(dt, n) if exc is not None else np.zeros(n, dtype=bool)
     inh = inh.step_levels(dt, n) if inh is not None else np.zeros(n, dtype=bool)
-    state = NeuronState()
-    spikes, v_mem = [], [state.v_mem]
+    v = 0.0
+    spikes, v_mem = [], [v]
     for k in range(n):
-        state, fired = neuron_step(state, params, bool(exc[k]), bool(inh[k]), dt)
+        v, fired = neuron_step(v, params, bool(exc[k]), bool(inh[k]), dt)
         if fired:
             spikes.append((k + 1) * dt)
-        v_mem.append(state.v_mem)
+        v_mem.append(v)
     return np.array(spikes), np.array(v_mem)
 
 
 def step_synapse(params, flags, dt):
     """Loop over synapse_step: (edge_times, v_syn, freq), traces from rest."""
-    state = SynapseState()
-    edges, v_syn, freq = [], [0.0], [0.0]
+    v, phase = 0.0, 0.0
+    edges, v_syn, freq = [], [v], [0.0]
     for k, flag in enumerate(flags):
-        state, offsets = synapse_step(state, params, bool(flag), dt)
+        v, phase, offsets = synapse_step(v, phase, params, bool(flag), dt)
         edges.extend(k * dt + off for off in offsets)
-        v_syn.append(state.v_syn)
-        freq.append(osc_frequency(state.v_syn, params))
+        v_syn.append(v)
+        freq.append(osc_frequency(v, params))
     return np.array(edges), np.array(v_syn), np.array(freq)
 
 

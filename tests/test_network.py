@@ -1,3 +1,4 @@
+import functools
 import math
 import tracemalloc
 import warnings
@@ -7,13 +8,14 @@ import pytest
 
 from tdsnn import (ConfigurationError, Connection, Network, NetworkConfig,
                    NetworkSim, NeuronParams, PulseTrain, SynapseParams,
-                   WeightParams, build_network, periodic_train, pulse_width,
-                   simulate, weighted_drive)
+                   WeightParams, build_network, pulse_width, simulate,
+                   weighted_drive)
 from tdsnn import network
 from tdsnn.network import Recorder, _external_levels
 from tdsnn.measure import run_neuron
 from tdsnn.synapse import osc_frequency
 from tdsnn.weight import N_CODES
+from trains import periodic_train
 
 
 def test_isolated_neuron_free_runs():
@@ -154,6 +156,41 @@ def test_dt_refinement_within_2pct():
         counts[dt] = traces.spike_counts()
     coarse, fine = counts[1e-5], counts[5e-6]
     assert np.all(np.abs(coarse - fine) <= np.maximum(0.02 * fine, 1))
+
+
+@functools.cache
+def convergence_counts(seed, driven, dt):
+    """Spike counts of an N=20, p=0.2 network over 0.5 s. A driven run gives
+    every neuron the benchmark's excitatory drive: a weighted_drive at
+    U(20, 150) Hz with a code from U{0..15}, drawn from rng([seed, 1])."""
+    n, duration = 20, 0.5
+    inputs = None
+    if driven:
+        rng = np.random.default_rng([seed, 1])
+        rates = rng.uniform(20.0, 150.0, n)
+        codes = rng.integers(0, N_CODES, n)
+        inputs = {i: (weighted_drive(float(rate), int(code), duration), None)
+                  for i, (rate, code) in enumerate(zip(rates, codes))}
+    cfg = NetworkConfig(n_neurons=n, connection_probability=0.2, seed=seed, dt=dt)
+    return simulate(build_network(cfg), inputs, duration).spike_counts()
+
+
+@pytest.mark.parametrize("dt", [
+    5e-6,
+    pytest.param(1e-5, marks=pytest.mark.xfail(
+        raises=AssertionError,
+        reason="ROADMAP direction 5: the kernel's O(dt) terms miss the fine "
+               "count by more than 2% on some neurons at the default dt")),
+])
+@pytest.mark.parametrize("seed, driven", [(0, False), (1, True)],
+                         ids=["free-seed0", "driven-seed1"])
+def test_each_neuron_count_converges_to_a_fine_reference(seed, driven, dt):
+    # |count(dt) - count(1.25 us)| <= max(2%, 1 spike) for every neuron
+    fine = convergence_counts(seed, driven, 1.25e-6)
+    coarse = convergence_counts(seed, driven, dt)
+    misses = np.flatnonzero(np.abs(coarse - fine) > np.maximum(0.02 * fine, 1))
+    assert misses.size == 0, list(zip(misses.tolist(), coarse[misses].tolist(),
+                                      fine[misses].tolist()))
 
 
 def test_external_train_beyond_duration_ignored():

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from tdsnn import (NeuronParams, NeuronState, free_run_period, neuron_step,
-                   periodic_train)
+from tdsnn import NeuronParams, free_run_period, neuron_step
 from tdsnn.measure import run_neuron, weighted_drive
+from trains import periodic_train
 
 
 def reference_integrator(duration, dt, exc_levels, inh_levels, v_th=0.5,
@@ -36,23 +36,20 @@ def test_first_fire_at_5ms():
 
 def test_zero_rate_pulses_are_noops():
     params = NeuronParams(r_exc=0.0, r_inh=0.0)
-    a = NeuronState()
-    b = NeuronState()
+    a = b = 0.0
     for _ in range(1000):
         a, fa = neuron_step(a, params, False, False, 1e-5)
         b, fb = neuron_step(b, params, True, True, 1e-5)
         assert fa == fb
-        assert a.v_mem == b.v_mem
+        assert a == b
 
 
 def test_fires_when_step_crosses_threshold():
     params = NeuronParams()
-    state = NeuronState(v_mem=0.49)
-    state, fired = neuron_step(state, params, False, False, 1e-3)
+    v, fired = neuron_step(0.49, params, False, False, 1e-3)
     assert fired
     # the reset keeps the overshoot: 0.49 + 100 * 1e-3 - 0.5
-    assert state.v_mem == pytest.approx(0.09)
-    assert state.last_spike_time == pytest.approx(1e-3)
+    assert v == pytest.approx(0.09)
 
 
 def test_spike_count_matches_fine_step_oracle():
@@ -129,9 +126,9 @@ def test_determinism():
 
 def test_invalid_dt_rejected():
     with pytest.raises(ValueError):
-        neuron_step(NeuronState(), NeuronParams(), False, False, 0.0)
+        neuron_step(0.0, NeuronParams(), False, False, 0.0)
     with pytest.raises(ValueError):
-        neuron_step(NeuronState(), NeuronParams(), False, False, -1e-5)
+        neuron_step(0.0, NeuronParams(), False, False, -1e-5)
 
 
 def test_invalid_params_rejected():

@@ -3,9 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from tdsnn import (ConfigurationError, SynapseParams, SynapseState,
-                   osc_frequency, steady_state_frequency, steady_state_v,
-                   synapse_step)
+from tdsnn import (ConfigurationError, SynapseParams, osc_frequency,
+                   steady_state_frequency, steady_state_v, synapse_step)
 from tdsnn.measure import run_synapse
 from tdsnn.synapse import phase_wraps
 
@@ -21,22 +20,21 @@ def fixed_point_oracle(rate, params, iters=10_000):
 
 def test_rest_state_is_fixed_point():
     params = SynapseParams()
-    state = SynapseState()
+    v, phase = 0.0, 0.0
     for _ in range(1000):
-        state, edges = synapse_step(state, params, False, 1e-5)
-        assert state.v_syn == 0.0
+        v, phase, edges = synapse_step(v, phase, params, False, 1e-5)
+        assert v == 0.0
         assert edges == []
 
 
 def test_oscillation_begins_once_onset_is_crossed():
     params = SynapseParams(delta_up=0.5, v_osc=0.2)
-    state = SynapseState(v_syn=0.19)
-    state, _ = synapse_step(state, params, True, 1e-5)
-    assert state.v_syn > params.v_osc
+    v, phase, _ = synapse_step(0.19, 0.0, params, True, 1e-5)
+    assert v > params.v_osc
     # below onset the phase is frozen; above it, edges eventually appear
     edges = []
     for k in range(200_000):
-        state, e = synapse_step(state, params, False, 1e-5)
+        v, phase, e = synapse_step(v, phase, params, False, 1e-5)
         edges.extend(e)
         if edges:
             break
@@ -106,17 +104,16 @@ def test_steady_state_frequency_zero_and_monotone():
 
 def test_v_syn_decays_monotonically_and_stays_bounded():
     params = SynapseParams()
-    state = SynapseState(v_syn=0.9)
-    prev = state.v_syn
+    v, phase = 0.9, 0.0
     for _ in range(10_000):
-        state, _ = synapse_step(state, params, False, 1e-5)
-        assert state.v_syn < prev
-        prev = state.v_syn
+        prev = v
+        v, phase, _ = synapse_step(v, phase, params, False, 1e-5)
+        assert v < prev
     # with a spike every step v_syn approaches but never exceeds v_max
-    state = SynapseState(v_syn=0.0)
+    v, phase = 0.0, 0.0
     for _ in range(10_000):
-        state, _ = synapse_step(state, params, True, 1e-5)
-        assert state.v_syn <= params.v_max
+        v, phase, _ = synapse_step(v, phase, params, True, 1e-5)
+        assert v <= params.v_max
 
 
 def test_edge_count_at_constant_voltage():
@@ -125,10 +122,10 @@ def test_edge_count_at_constant_voltage():
     v = 0.7
     window = 1.0
     dt = 1e-5
-    state = SynapseState(v_syn=v)
+    v_syn, phase = v, 0.0
     edges = 0
     for _ in range(int(window / dt)):
-        state, e = synapse_step(state, params, False, dt)
+        v_syn, phase, e = synapse_step(v_syn, phase, params, False, dt)
         edges += len(e)
     f = osc_frequency(v, params)
     assert abs(edges - round(f * window)) <= 1
@@ -140,11 +137,11 @@ def test_determinism():
     spike_flags = rng.random(20_000) < 0.002
     results = []
     for _ in range(2):
-        state = SynapseState()
+        v, phase = 0.0, 0.0
         vs, edge_count = [], 0
         for flag in spike_flags:
-            state, e = synapse_step(state, params, bool(flag), 1e-5)
-            vs.append(state.v_syn)
+            v, phase, e = synapse_step(v, phase, params, bool(flag), 1e-5)
+            vs.append(v)
             edge_count += len(e)
         results.append((vs, edge_count))
     assert results[0] == results[1]
@@ -177,7 +174,7 @@ def test_phase_wraps_is_the_same_for_any_window():
 def test_undersampled_oscillator_rejected():
     params = SynapseParams(f_max=20_000.0)
     with pytest.raises(ConfigurationError):
-        synapse_step(SynapseState(), params, False, 5e-5)  # dt*f_max = 1.0
+        synapse_step(0.0, 0.0, params, False, 5e-5)  # dt*f_max = 1.0
 
 
 def test_invalid_params_rejected():
