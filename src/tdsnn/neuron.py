@@ -62,6 +62,8 @@ def neuron_step(v: float, params: NeuronParams, exc_high: bool, inh_high: bool,
     """
     if not dt > 0:
         raise ValueError("dt must be positive")
+    if not math.isfinite(dt):
+        raise ValueError("dt must be finite")
     v = max(v + _net_rate(params, exc_high, inh_high) * dt, 0.0)
     if v >= params.v_th:
         return v - params.v_th, True

@@ -31,6 +31,8 @@ class RlsState:
         """Zero weights, P = I/alpha."""
         if not alpha > 0:
             raise ValueError("alpha must be positive")
+        if not math.isfinite(alpha):
+            raise ValueError("alpha must be finite")
         return cls(w=np.zeros(n), P=np.eye(n) / alpha)
 
 
@@ -85,6 +87,9 @@ class FeedbackParams:
     def __post_init__(self):
         if not (self.gain > 0 and self.f_fb_max > 0 and self.pulse_width > 0):
             raise ValueError("feedback gain, cap, and pulse width must be positive")
+        for name in ("gain", "pulse_width"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"feedback {name} must be finite")
 
 
 def encode_feedback(z, params: FeedbackParams):
@@ -112,6 +117,8 @@ class TargetSpec:
     def __post_init__(self):
         if not self.frequency > 0:
             raise ConfigurationError("target frequency must be positive")
+        if not math.isfinite(self.frequency):
+            raise ConfigurationError("target frequency must be finite")
         if not abs(self.amplitude) > 0:
             raise ConfigurationError("target amplitude must not be 0 (a constant target)")
 
@@ -140,6 +147,9 @@ class TrainConfig:
             raise ConfigurationError("learn_interval must be positive")
         if not self.rls_init_alpha > 0:
             raise ConfigurationError("rls_init_alpha must be positive")
+        for name in ("train_periods", "eval_periods", "learn_interval", "rls_init_alpha"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigurationError(f"{name} must be finite")
         f_lo, f_hi = self.frequency_range
         if not 0 < f_lo < f_hi:
             raise ConfigurationError("frequency_range must satisfy 0 < f_min < f_max")

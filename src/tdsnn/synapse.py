@@ -183,20 +183,51 @@ def run_synapse(params: SynapseParams, spike_times, duration: float, dt: float,
     return edges, trace
 
 
+def _steady_states(rates, rows, params: SynapseParams):
+    """Steady state at each presynaptic rate for each parameter row.
+
+    rows holds (delta_up, tau_leak, v_osc) triples; v_max, f_min and f_max
+    come from params. Returns (v_pre, mean_f), each of shape (len(rows),
+    len(rates)): the pre-spike minimum of v_syn and the mean ring frequency.
+    Rate 0 gives 0 and 0 Hz. The rates are not checked.
+    """
+    rate = np.asarray(rates, dtype=float)
+    d, tau, c = np.asarray(rows, dtype=float).T[:, :, None]
+    v_max = params.v_max
+    # Rate 0 divides by zero into e = 0 and an infinite period, and v_osc = 0
+    # into an infinite onset time; the where()s drop what they leave.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        e = np.exp(-1.0 / (rate * tau))
+        v_pre = d * v_max * e / (1.0 - (1.0 - d) * e)
+        period = 1.0 / rate
+        v_post = v_pre + d * (v_max - v_pre)
+        # v_syn spends the part of the cycle above onset active
+        t_active = np.where(v_pre >= c, period,
+                            np.minimum(period, tau * np.log(v_post / c)))
+        # integral of v over the active part of the cycle
+        int_v = v_post * tau * (1.0 - np.exp(-t_active / tau))
+        slope = (params.f_max - params.f_min) / (v_max - c)
+        mean_f = (t_active * params.f_min + slope * (int_v - c * t_active)) / period
+    return v_pre, np.where((rate > 0) & (v_post > c), mean_f, 0.0)
+
+
+def _steady_state(spike_rate: float, params: SynapseParams) -> tuple[float, float]:
+    if not spike_rate >= 0:
+        raise ValueError("spike_rate must be nonnegative")
+    if not math.isfinite(spike_rate):
+        raise ValueError("spike_rate must be finite")
+    v_pre, mean_f = _steady_states(  # abs() turns -0.0 into 0.0
+        [abs(spike_rate)], [(params.delta_up, params.tau_leak, params.v_osc)], params)
+    return float(v_pre[0, 0]), float(mean_f[0, 0])
+
+
 def steady_state_v(spike_rate: float, params: SynapseParams) -> float:
     """Fixed point of the per-interval charge/leak map (pre-spike value).
 
     Under constant input rate the voltage cycles between a pre-spike minimum
     and a post-spike peak; this returns the minimum.
     """
-    if not spike_rate >= 0:
-        raise ValueError("spike_rate must be nonnegative")
-    if not math.isfinite(spike_rate):
-        raise ValueError("spike_rate must be finite")
-    if spike_rate == 0:
-        return 0.0
-    e = math.exp(-1.0 / (spike_rate * params.tau_leak))
-    return params.delta_up * params.v_max * e / (1.0 - (1.0 - params.delta_up) * e)
+    return _steady_state(spike_rate, params)[0]
 
 
 def steady_state_frequency(spike_rate: float, params: SynapseParams) -> float:
@@ -207,20 +238,4 @@ def steady_state_frequency(spike_rate: float, params: SynapseParams) -> float:
     frozen-phase fraction where v_syn sits below onset. Matches the long-run
     edge rate of a step simulation.
     """
-    v_pre = steady_state_v(spike_rate, params)  # checks spike_rate
-    if spike_rate == 0:
-        return 0.0
-    period = 1.0 / spike_rate
-    v_post = v_pre + params.delta_up * (params.v_max - v_pre)
-    if v_post <= params.v_osc:
-        return 0.0
-    tau = params.tau_leak
-    if params.v_osc <= 0 or v_pre >= params.v_osc:
-        t_active = period
-    else:
-        t_active = min(period, tau * math.log(v_post / params.v_osc))
-    # integral of v over the active part of the cycle
-    int_v = v_post * tau * (1.0 - math.exp(-t_active / tau))
-    slope = (params.f_max - params.f_min) / (params.v_max - params.v_osc)
-    mean_f = (t_active * params.f_min + slope * (int_v - params.v_osc * t_active)) / period
-    return mean_f
+    return _steady_state(spike_rate, params)[1]

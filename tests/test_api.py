@@ -36,9 +36,23 @@ def test_every_exported_name_resolves_and_the_deleted_ones_are_gone():
      "spike_rate must be finite"),
     (lambda: tdsnn.steady_state_frequency(math.inf, tdsnn.SynapseParams()),
      "spike_rate must be finite"),
+    (lambda: tdsnn.neuron_step(0.0, tdsnn.NeuronParams(), False, False, math.inf),
+     "dt must be finite"),
+    (lambda: tdsnn.RlsState.initial(2, math.inf), "alpha must be finite"),
+    (lambda: tdsnn.TrainConfig(rls_init_alpha=math.inf), "rls_init_alpha must be finite"),
+    (lambda: tdsnn.TrainConfig(learn_interval=math.inf), "learn_interval must be finite"),
+    (lambda: tdsnn.TrainConfig(train_periods=math.inf), "train_periods must be finite"),
+    (lambda: tdsnn.TrainConfig(eval_periods=math.inf), "eval_periods must be finite"),
+    (lambda: tdsnn.FeedbackParams(gain=math.inf), "feedback gain must be finite"),
+    (lambda: tdsnn.FeedbackParams(pulse_width=math.inf),
+     "feedback pulse_width must be finite"),
+    (lambda: tdsnn.TargetSpec(frequency=math.inf), "target frequency must be finite"),
 ], ids=["neuron_step-nan-dt", "rls-nan-alpha", "steady_state_v-nan",
         "steady_state_frequency-nan", "steady_state_v-inf",
-        "steady_state_frequency-inf"])
+        "steady_state_frequency-inf", "neuron_step-inf-dt", "rls-inf-alpha",
+        "train-inf-rls_init_alpha", "train-inf-learn_interval",
+        "train-inf-train_periods", "train-inf-eval_periods", "feedback-inf-gain",
+        "feedback-inf-pulse_width", "target-inf-frequency"])
 def test_a_check_rejects_a_value_that_is_not_a_number_or_not_finite(call, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
         call()

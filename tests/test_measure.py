@@ -1,3 +1,4 @@
+import itertools
 import math
 import os
 import subprocess
@@ -7,11 +8,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tdsnn import (CalibrationError, NetworkConfig, NetworkSim, NeuronParams,
-                   SynapseParams, build_network, calibrate, free_run_period,
+from tdsnn import (PAPER_ANCHORS, CalibrationError, ConfigurationError,
+                   NetworkConfig, NetworkSim, NeuronParams, SynapseParams,
+                   build_network, calibrate, free_run_period, measure,
                    neuron_step, osc_frequency, steady_state_frequency,
                    synapse_step)
-from tdsnn.measure import run_neuron, run_synapse, weighted_drive
+from tdsnn.measure import _fit_synapse, run_neuron, run_synapse, weighted_drive
 from tdsnn.pulses import regular_times
 from trains import periodic_train
 
@@ -141,6 +143,70 @@ def test_calibrate_reports_failure_with_residuals():
     with pytest.raises(CalibrationError) as exc_info:
         calibrate(anchors)
     assert exc_info.value.residuals
+
+
+def test_calibrate_tolerances_override_the_defaults_key_by_key():
+    # syn_inhibited_hz keeps its 15% default; it used to fall back to 5%
+    result = calibrate({"syn_inhibited_hz": 41.0}, tolerances={"syn_free_hz": 0.1},
+                       sim_duration=1.0)
+    assert 0.05 < abs(result.residuals["syn_inhibited_hz"]) <= 0.15
+
+
+@pytest.mark.parametrize("tolerances, message", [
+    ({"syn_inhibited_hz_typo": 0.1}, r"^unknown anchor\(s\): syn_inhibited_hz_typo$"),
+    ({"syn_free_hz": -0.1}, r"^tolerance syn_free_hz must be nonnegative and finite$"),
+    ({"syn_free_hz": math.inf}, r"^tolerance syn_free_hz must be nonnegative and finite$"),
+    ({"syn_free_hz": math.nan}, r"^tolerance syn_free_hz must be nonnegative and finite$"),
+], ids=["unknown-key", "negative", "inf", "nan"])
+def test_calibrate_rejects_a_bad_tolerance(tolerances, message):
+    with pytest.raises(ValueError, match=message):
+        calibrate({"syn_free_hz": 90.0}, tolerances=tolerances)
+
+
+def test_calibrate_rejects_an_undersampling_dt_before_any_run(monkeypatch):
+    def run_neuron(*args, **kwargs):
+        raise AssertionError("ran a neuron")
+
+    monkeypatch.setattr(measure, "run_neuron", run_neuron)
+    with pytest.raises(ConfigurationError, match="undersamples the oscillator"):
+        calibrate(dt=0.1)
+
+
+def test_paper_fit_lands_on_the_least_squares_optimum():
+    result = calibrate(sim_duration=1.0)
+    fitted = result.synapse
+    # the optimum that scipy.optimize.least_squares (TRF) found
+    assert fitted.delta_up == pytest.approx(0.4341765250676488, rel=1e-5)
+    assert fitted.tau_leak == pytest.approx(0.019852544483128284, rel=1e-5)
+    assert fitted.v_osc == pytest.approx(0.47317792767272915, rel=1e-5)
+    assert result.achieved == {"free_run_hz": 200.0, "syn_inhibited_hz": 39.0,
+                               "syn_free_hz": 88.0, "syn_excited_hz": 97.0}
+
+
+def test_fit_from_a_zero_drive_rate_is_finite_and_in_bounds():
+    # rate 0 gives 0 Hz whatever the parameters: a flat Jacobian row
+    fitted = _fit_synapse([0.0, 200.0, 226.0], [41.0, 90.0, 98.0], SynapseParams())
+    x = np.array([fitted.delta_up, fitted.tau_leak, fitted.v_osc])
+    assert np.isfinite(x).all()
+    assert (x >= [1e-3, 1e-4, 0.0]).all() and (x <= [1.0, 2.0, 0.95]).all()
+
+
+def test_every_anchor_subset_calibrates_or_raises_calibration_error():
+    short = {"free_run_hz": "free_run", "syn_inhibited_hz": "inhibited",
+             "syn_free_hz": "free", "syn_excited_hz": "excited"}
+    calibrated = set()
+    for n in range(1, 5):
+        for subset in itertools.combinations(PAPER_ANCHORS, n):
+            try:
+                calibrate({k: PAPER_ANCHORS[k] for k in subset}, sim_duration=1.0)
+            except CalibrationError:
+                continue
+            calibrated.add("+".join(short[k] for k in subset))
+    assert calibrated >= {
+        "free_run", "inhibited", "excited", "free_run+inhibited",
+        "free_run+excited", "inhibited+free", "inhibited+excited",
+        "free_run+inhibited+free", "free_run+inhibited+excited",
+        "inhibited+free+excited", "free_run+inhibited+free+excited"}
 
 
 # --- run_neuron and run_synapse against plain loops over the step
@@ -280,15 +346,14 @@ def test_run_synapse_wraps_when_the_phase_reaches_one_exactly():
     assert len(edges) == 25
 
 
-def test_scipy_loads_on_the_first_fit_not_on_import():
-    # a fresh interpreter: this one has loaded SciPy through other tests
+def test_no_scipy_module_loads_on_import_or_calibrate():
+    # a fresh interpreter: this one may have loaded SciPy through other tests
     script = """
 import sys
 import tdsnn, tdsnn.cli
+tdsnn.calibrate(sim_duration=1.0)
 loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
 assert not loaded, loaded
-tdsnn.calibrate(sim_duration=1.0)
-assert "scipy.optimize" in sys.modules
 """
     src = Path(__file__).resolve().parents[1] / "src"
     proc = subprocess.run([sys.executable, "-c", script],

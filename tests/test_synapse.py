@@ -6,7 +6,7 @@ import pytest
 from tdsnn import (ConfigurationError, SynapseParams, osc_frequency,
                    steady_state_frequency, steady_state_v, synapse_step)
 from tdsnn.measure import run_synapse
-from tdsnn.synapse import phase_wraps
+from tdsnn.synapse import _steady_states, phase_wraps
 
 
 def fixed_point_oracle(rate, params, iters=10_000):
@@ -100,6 +100,49 @@ def test_steady_state_frequency_zero_and_monotone():
     rates = np.linspace(0.0, 500.0, 26)
     fs = [steady_state_frequency(r, params) for r in rates]
     assert all(b >= a - 1e-12 for a, b in zip(fs, fs[1:]))
+
+
+def steady_state_oracle(rate, params):
+    """(v_pre, mean_f) by the branch-per-case scalar formula (test oracle)."""
+    if rate == 0:
+        return 0.0, 0.0
+    d, tau, c, v_max = params.delta_up, params.tau_leak, params.v_osc, params.v_max
+    e = math.exp(-1.0 / (rate * tau))
+    v_pre = d * v_max * e / (1.0 - (1.0 - d) * e)
+    v_post = v_pre + d * (v_max - v_pre)
+    if v_post <= c:
+        return v_pre, 0.0
+    if c <= 0 or v_pre >= c:
+        t_active = 1.0 / rate
+    else:
+        t_active = min(1.0 / rate, tau * math.log(v_post / c))
+    int_v = v_post * tau * (1.0 - math.exp(-t_active / tau))
+    slope = (params.f_max - params.f_min) / (v_max - c)
+    return v_pre, (t_active * params.f_min + slope * (int_v - c * t_active)) * rate
+
+
+def test_steady_state_array_form_equals_the_scalar_calls():
+    base = SynapseParams()
+    rates = [0.0, 5.0, 41.0, 114.0, 200.0, 226.0, 1000.0]
+    rows = [(0.08, 0.05, 0.2), (0.43, 0.02, 0.47), (1e-3, 1e-4, 0.9),
+            (0.5, 0.05, 0.0), (1.0, 2.0, 0.95), (0.9, 1.0, 0.05)]
+    v_pre, mean_f = _steady_states(rates, rows, base)
+    v_post = v_pre + np.array(rows)[:, :1] * (base.v_max - v_pre)
+    v_osc = np.array(rows)[:, 2:]
+    # the grid reaches every branch: silent, frozen part of the cycle,
+    # onset at zero and active all cycle
+    assert (v_post <= v_osc).any() and (v_osc == 0).any()
+    assert ((v_pre < v_osc) & (v_post > v_osc)).any()
+    assert ((v_pre >= v_osc) & (v_osc > 0)).any()
+    for i, (d, tau, c) in enumerate(rows):
+        params = SynapseParams(delta_up=d, tau_leak=tau, v_osc=c)
+        for j, rate in enumerate(rates):
+            assert v_pre[i, j] == steady_state_v(rate, params)
+            assert mean_f[i, j] == steady_state_frequency(rate, params)
+            assert (v_pre[i, j], mean_f[i, j]) == pytest.approx(
+                steady_state_oracle(rate, params), rel=1e-12, abs=1e-300)
+    assert (v_pre[:, 0] == 0).all() and (mean_f[:, 0] == 0).all()
+    assert steady_state_v(-0.0, base) == 0.0 == steady_state_frequency(-0.0, base)
 
 
 def test_v_syn_decays_monotonically_and_stays_bounded():
