@@ -11,8 +11,10 @@ lumped into constant rates, and the membrane capacitor is absorbed into
 them. Voltages are normalized to a 1.0 supply.
 
 neuron_step(v, params, exc_high, inh_high, dt) -> (v, fired) is the
-per-step reference, a plain function of the membrane voltage. run_neuron
-takes the same steps, bit for bit, event by event.
+per-step reference, a plain function of the membrane voltage. Its membrane
+is a running sum, floored at 0, that fires at v_th and keeps the excess, as
+the ring's phase wraps at 1; so run_neuron takes the same steps, bit for
+bit, event by event, through the ring's fold, synapse.phase_wraps.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .pulses import PulseTrain, check_duration
+from .synapse import phase_wraps
 
 
 @dataclass(frozen=True)
@@ -60,14 +63,18 @@ def neuron_step(v: float, params: NeuronParams, exc_high: bool, inh_high: bool,
     rest of the step adds. Returns the new membrane and the fired flag; a
     caller dates the spike at the step end.
     """
-    if not dt > 0:
-        raise ValueError("dt must be positive")
-    if not math.isfinite(dt):
-        raise ValueError("dt must be finite")
+    _check_dt(dt)
     v = max(v + _net_rate(params, exc_high, inh_high) * dt, 0.0)
     if v >= params.v_th:
         return v - params.v_th, True
     return v, False
+
+
+def _check_dt(dt: float) -> None:
+    if not dt > 0:
+        raise ValueError("dt must be positive")
+    if not math.isfinite(dt):
+        raise ValueError("dt must be finite")
 
 
 def _net_rate(params: NeuronParams, exc_high: bool, inh_high: bool) -> float:
@@ -84,60 +91,31 @@ def run_neuron(params: NeuronParams, duration: float, dt: float,
                record: bool = False):
     """Run neuron_step from v = 0 under optional pulse drive, event by event.
 
-    Each train is sampled at the step starts. The result is bit-identical
-    to looping v, fired = neuron_step(v, params, exc[k], inh[k], dt), but
-    the Python loop runs once per event (a level change or a spike): while
-    the levels hold, the membrane is the running sum v + x + x + ... with
-    x = rate*dt, which np.add.accumulate folds in the same order, clamped
-    at zero when x < 0. Returns
-    (spike_times, trace) where trace is (times, v_mem) when record=True,
-    else None; v_mem holds the membrane before the first step and after
-    each step. Each spike is dated at the end of the step in which the
-    membrane crossed the threshold.
+    Each train is sampled at the step starts, and step k adds
+    x[k] = rate*dt to the membrane. The membrane is the running sum that
+    phase_wraps folds with the threshold v_th as its top, so the result is
+    bit-identical to looping v, fired = neuron_step(v, params, exc[k],
+    inh[k], dt), while the Python loop runs once per event (a spike, a
+    clamp at 0 or a chunk of steps). Returns (spike_times, trace) where
+    trace is (times, v_mem) when record=True, else None; v_mem holds the
+    membrane before the first step and after each step. Each spike is
+    dated at the end of the step in which the membrane crossed the
+    threshold. A dt longer than twice the run gives no steps.
     """
-    if not dt > 0:
-        raise ValueError("dt must be positive")
+    _check_dt(dt)
     check_duration(duration)
     n = int(round(duration / dt))
     exc, inh = [np.zeros(n, dtype=bool) if train is None else train.step_levels(dt, n)
                 for train in (exc_train, inh_train)]
-    code = exc + 2 * inh.astype(np.int8)  # indexes xs
-    xs = [_net_rate(params, e, i) * dt
-          for e, i in ((False, False), (True, False), (False, True), (True, True))]
-    v_th = params.v_th
-    v = 0.0
-    fired = []
+    xs = np.array([_net_rate(params, e, i) * dt
+                   for e, i in ((False, False), (True, False), (False, True), (True, True))])
     v_mem = np.zeros(n + 1) if record else None
-    starts = np.flatnonzero(np.diff(code, prepend=-1)).tolist()
-    for a, b in zip(starts, starts[1:] + [n]):
-        x = xs[code[a]]
-        k = a
-        while k < b:
-            # Window: the rest of the stretch, cut where the next crossing
-            # must have happened. A window without a crossing just repeats.
-            m = b - k
-            if x > 0:
-                steps = (v_th - v) / x
-                if steps < m:
-                    m = max(1, math.ceil(steps) + 1)
-            elif v >= v_th:
-                m = 1
-            run = np.full(m + 1, x)
-            run[0] = v
-            np.add.accumulate(run, out=run)
-            if x < 0:
-                np.maximum(run, 0.0, out=run)
-            hit = np.flatnonzero(run[1:] >= v_th)
-            if hit.size:
-                m = int(hit[0]) + 1
-                run[m] -= v_th
-                fired.append(k + m)  # the end of the firing step
-            if record:
-                v_mem[k + 1:k + m + 1] = run[1:m + 1]
-            v = float(run[m])
-            k += m
+    # A window of free-running steps fires, as a ring's window wraps.
+    window = math.ceil(params.v_th / xs[0]) + 1
+    steps, _, _ = phase_wraps(0.0, xs[exc + 2 * inh.astype(np.int8)], window,
+                              params.v_th, None if v_mem is None else v_mem[1:])
     trace = (np.arange(n + 1) * dt, v_mem) if record else None
-    return np.array(fired, dtype=np.int64) * dt, trace
+    return (steps + 1) * dt, trace
 
 
 def free_run_period(params: NeuronParams) -> float:

@@ -87,7 +87,7 @@ class FeedbackParams:
     def __post_init__(self):
         if not (self.gain > 0 and self.f_fb_max > 0 and self.pulse_width > 0):
             raise ValueError("feedback gain, cap, and pulse width must be positive")
-        for name in ("gain", "pulse_width"):
+        for name in ("gain", "f_fb_max", "pulse_width"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"feedback {name} must be finite")
 
@@ -121,6 +121,8 @@ class TargetSpec:
             raise ConfigurationError("target frequency must be finite")
         if not abs(self.amplitude) > 0:
             raise ConfigurationError("target amplitude must not be 0 (a constant target)")
+        if not math.isfinite(self.amplitude):
+            raise ConfigurationError("target amplitude must be finite")
 
     def value(self, t):
         return self.amplitude * np.sin(2.0 * math.pi * self.frequency * t)
@@ -169,7 +171,8 @@ class _PulseEmitter:
         A step adds rate*dt (rates are >= 0) to the phase; a step that
         brings it to 1 wraps it and holds the level high for width_steps
         steps from there. The phase is folded by phase_wraps, in the order
-        a step-by-step loop would add it.
+        a step-by-step loop would add it; a rate above 1/dt leaves the
+        phase at or above 1, and each step then wraps once.
         """
         inc = np.asarray(rates, dtype=float) * dt
         n = len(inc)
@@ -204,6 +207,10 @@ def train_force(network: Network, train_cfg: TrainConfig, fb: FeedbackParams,
     dt = network.config.dt
     if train_cfg.learn_interval < dt:
         raise ConfigurationError("learn_interval must be >= network dt")
+    if fb.f_fb_max * dt > 1:  # a step resolves at most one feedback pulse
+        raise ConfigurationError(
+            f"[feedback] f_fb_max must be at most 1/dt = {1 / dt:g} Hz, "
+            f"got {fb.f_fb_max:g}")
     target = train_cfg.target
     period = 1.0 / target.frequency
     steps_per_period = int(round(period / dt))

@@ -105,40 +105,57 @@ def synapse_step(v_syn: float, phase: float, params: SynapseParams,
     return v, wrapped, []
 
 
-def phase_wraps(phase: float, inc, window: int):
-    """Fold a phase accumulator through per-step increments, wrapping at 1.
+def phase_wraps(phase: float, inc, window: int, top: float = 1.0, trace=None):
+    """Fold a running sum through per-step increments, firing at top.
 
-    Each step adds inc[k] (>= 0) to the phase; a step that brings it to 1
-    wraps it, keeping the excess. The sums run by np.add.accumulate over
-    up to window steps at a time, in the order a step-by-step loop would
-    add them. A chunk ends two steps past where the phase would wrap at
-    0.8 times the increment at its start; when no wrap falls inside, the
-    next chunk goes on. Chunks do not change the sums. Returns (wrap
-    steps, the phase entering each wrap step, the phase after the last
-    step).
+    Each step adds inc[k] to the sum; a sum below 0 is 0, and a step that
+    brings it to top fires it, lowering it by top and keeping the excess.
+    A ring's phase wraps at top = 1, a membrane fires at top = v_th. The
+    sums run by np.add.accumulate over up to window steps at a time, in the
+    order a step-by-step loop would add them. A chunk ends two steps past
+    where the sum would reach top (or 0, for a falling increment) at 0.8
+    times the increment at its start; when nothing happens inside, the
+    next chunk goes on. Chunks do not change the sums. trace, if given,
+    receives the sum after each step. Returns (firing steps, the sum
+    entering each firing step, the sum after the last step).
     """
     n = len(inc)
+    floor = n > 0 and inc.min() < 0  # only then can a sum fall below 0
+    if floor:  # the steps with an increment above 0, and n past the last
+        rises = np.append(np.flatnonzero(inc > 0), n)
     steps, entering = [], []
     k = 0
     while k < n:
         m = min(window, n - k)
-        reach = 1.25 * (1.0 - phase)
-        if reach < (m - 2) * inc[k]:  # the next wrap is near: fold up to it
-            m = int(reach / inc[k]) + 2
+        x = float(inc[k])
+        reach = 1.25 * max(top - phase if x > 0 else phase, 0.0)
+        if x and reach < (m - 2) * abs(x):  # the next event is near: fold up to it
+            m = int(reach / abs(x)) + 2
         acc = np.empty(m + 1)
         acc[0] = phase
         acc[1:] = inc[k:k + m]
         np.add.accumulate(acc, out=acc)
-        hit = np.flatnonzero(acc[1:] >= 1.0)
+        sums = acc[1:]
+        # (1-D nonzero()[0] is np.flatnonzero without its microsecond of wrapping)
+        hit = ((sums >= top) | (sums < 0) if floor else sums >= top).nonzero()[0]
         if hit.size:
-            j = int(hit[0])  # step k + j wraps
-            steps.append(k + j)
-            entering.append(acc[j])
-            phase = float(acc[j + 1]) - 1.0
-            k += j + 1
-        else:
-            phase = float(acc[m])
-            k += m
+            m = int(hit[0]) + 1  # step k + m - 1 fires or clamps
+        phase = float(acc[m])
+        if trace is not None:
+            trace[k:k + m] = sums[:m]
+        k += m
+        if hit.size and phase >= top:
+            steps.append(k - 1)
+            entering.append(acc[m - 1])
+            phase -= top
+            if trace is not None:
+                trace[k - 1] = phase
+        elif hit.size:  # a clamp: the sum stays 0 up to the next rise
+            phase = 0.0
+            end = int(rises[np.searchsorted(rises, k)])
+            if trace is not None:
+                trace[k - 1:end] = 0.0
+            k = end
     return np.array(steps, dtype=int), np.array(entering, dtype=float), phase
 
 

@@ -47,12 +47,16 @@ def test_every_exported_name_resolves_and_the_deleted_ones_are_gone():
     (lambda: tdsnn.FeedbackParams(pulse_width=math.inf),
      "feedback pulse_width must be finite"),
     (lambda: tdsnn.TargetSpec(frequency=math.inf), "target frequency must be finite"),
+    (lambda: tdsnn.run_neuron(tdsnn.NeuronParams(), 1.0, math.inf), "dt must be finite"),
+    (lambda: tdsnn.FeedbackParams(f_fb_max=math.inf), "feedback f_fb_max must be finite"),
+    (lambda: tdsnn.TargetSpec(amplitude=math.inf), "target amplitude must be finite"),
 ], ids=["neuron_step-nan-dt", "rls-nan-alpha", "steady_state_v-nan",
         "steady_state_frequency-nan", "steady_state_v-inf",
         "steady_state_frequency-inf", "neuron_step-inf-dt", "rls-inf-alpha",
         "train-inf-rls_init_alpha", "train-inf-learn_interval",
         "train-inf-train_periods", "train-inf-eval_periods", "feedback-inf-gain",
-        "feedback-inf-pulse_width", "target-inf-frequency"])
+        "feedback-inf-pulse_width", "target-inf-frequency", "run_neuron-inf-dt",
+        "feedback-inf-f_fb_max", "target-inf-amplitude"])
 def test_a_check_rejects_a_value_that_is_not_a_number_or_not_finite(call, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
         call()

@@ -259,6 +259,18 @@ def test_train_force_rejects_a_frequency_range_that_undersamples_the_ring():
         train_force(net, tcfg, fb)
 
 
+def test_train_force_rejects_a_feedback_cap_above_one_pulse_per_step():
+    # At dt = 1e-5 a step resolves at most one pulse, so the cap may reach
+    # 1/dt = 1e5 Hz and no further.
+    net, _, _ = _small_setup()
+    tcfg = TrainConfig(target=TargetSpec(frequency=100.0), train_periods=1,
+                       eval_periods=0)
+    with pytest.raises(ConfigurationError, match=(
+            r"^\[feedback\] f_fb_max must be at most 1/dt = 100000 Hz, got 1e\+06$")):
+        train_force(net, tcfg, FeedbackParams(gain=1e6, f_fb_max=1e6))
+    train_force(net, tcfg, FeedbackParams(gain=1e6, f_fb_max=1e5))
+
+
 def test_target_spec_validation():
     with pytest.raises(ConfigurationError):
         TargetSpec(frequency=0.0)
@@ -294,17 +306,21 @@ def emit_step(em, rate, dt, width):
 def test_pulse_emitter_matches_step_loop():
     # At 4-8 kHz with dt = 10 us the phase wraps every 12.5 to 25 steps,
     # often sooner than a 20-step pulse ends, so a wrap extends the pulse;
-    # some steps have rate 0, and some intervals are all silent.
+    # some steps have rate 0, and some intervals are all silent. The last
+    # two intervals run at 1.5e5 Hz, 1.5 wraps a step: every step wraps
+    # once, and the phase climbs by 0.5 a step.
     dt, width = 1e-5, 20
     rng = np.random.default_rng(3)
     emitter = _PulseEmitter(width)
     em = {"phase": 0.5, "countdown": 0}
     extended = 0
-    for interval in range(60):
+    for interval in range(62):
         n = int(rng.integers(0, 120))
         rates = rng.uniform(4000.0, 8000.0, n) * (rng.random(n) < 0.9)
         if interval % 9 == 4:
             rates[:] = 0.0
+        if interval >= 60:
+            rates = np.full(100, 1.5e5)
         expected = []
         for rate in rates.tolist():
             high = em["countdown"] > 0
@@ -315,6 +331,7 @@ def test_pulse_emitter_matches_step_loop():
         assert emitter.phase == em["phase"]
         assert emitter.countdown == em["countdown"]
     assert extended > 10
+    assert em["phase"] > 99
 
 
 def stepped_train_force(network, train_cfg, fb):

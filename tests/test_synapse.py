@@ -190,28 +190,55 @@ def test_determinism():
     assert results[0] == results[1]
 
 
-def test_phase_wraps_is_the_same_for_any_window():
-    # Each chunk ends near the next wrap or at the window, whichever comes
-    # first, and every window must give a step-by-step loop's result.
-    rng = np.random.default_rng(5)
-    inc = rng.uniform(0.0, 0.03, 6000)
-    inc[rng.random(6000) < 0.3] = 0.0  # silent steps
-    inc[1000:1800] = 0.0  # a silent stretch longer than 7 steps
-    inc[3000:3200] *= 30  # a wrap every few steps, from falling and rising rates
-    phase, steps, entering = 0.25, [], []
+def fold_steps(phase, inc, top):
+    """phase_wraps as a step loop, written like neuron_step: (firing steps,
+    the sum entering each, the final sum, the sum after each step)."""
+    steps, entering, trace = [], [], []
     for k, step in enumerate(inc.tolist()):
-        if phase + step >= 1.0:
+        total = max(phase + step, 0.0)
+        if total >= top:
             steps.append(k)
             entering.append(phase)
-            phase = phase + step - 1.0
-        else:
-            phase += step
-    assert len(steps) > 100
-    for window in (1, 7, len(inc)):
-        got_steps, got_entering, got_phase = phase_wraps(0.25, inc, window)
-        assert got_steps.tolist() == steps
-        assert got_entering.tolist() == entering
-        assert got_phase == phase
+            total -= top
+        phase = total
+        trace.append(phase)
+    return steps, entering, phase, trace
+
+
+def test_phase_wraps_is_the_same_for_any_window():
+    # Each chunk ends near the next event or at the window, whichever comes
+    # first, and every window must give a step-by-step loop's result.
+    rng = np.random.default_rng(5)
+    ring = rng.uniform(0.0, 0.03, 6000)
+    ring[rng.random(6000) < 0.3] = 0.0  # silent steps
+    ring[1000:1800] = 0.0  # a silent stretch longer than 7 steps
+    ring[3000:3200] *= 30  # a wrap every few steps, from falling and rising rates
+    # A membrane's increments: stretches of rising ones, of falling ones
+    # that clamp at 0, and of 0 and falling ones that hold the clamp.
+    membrane = np.repeat(rng.choice([0.004, 0.011, -0.019, -0.006], 400,
+                                    p=[0.5, 0.25, 0.125, 0.125]),
+                         rng.integers(1, 30, 400))
+    membrane[2000:2100] = -0.01
+    membrane[2100:2150] = 0.0
+    membrane[2150:2200] = rng.choice([0.0, -0.02], 50)
+    above = rng.uniform(0.5, 0.9, 300)  # from a start above top
+    above[100:140] = rng.uniform(1.2, 2.0, 40)  # increments above top
+    above[200:230] = -1.5  # falling, from far above top, to a clamp
+    cases = [(0.25, ring, 1.0, 100), (0.0, membrane, 0.37, 40),
+             (3.7, above, 0.8, 100)]
+    for phase, inc, top, n_fired in cases:
+        steps, entering, final, trace = fold_steps(phase, inc, top)
+        assert len(steps) > n_fired
+        if inc.min() < 0:
+            assert trace.count(0.0) > 10  # clamps
+        for window in (1, 7, len(inc)):
+            got_trace = np.full(len(inc), np.nan)
+            got_steps, got_entering, got_phase = phase_wraps(phase, inc, window,
+                                                             top, got_trace)
+            assert got_steps.tolist() == steps
+            assert got_entering.tolist() == entering
+            assert got_phase == final
+            assert got_trace.tolist() == trace
 
 
 def test_undersampled_oscillator_rejected():
