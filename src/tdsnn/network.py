@@ -14,9 +14,9 @@ is the only event by which one neuron affects another, so runs compute many
 steps as one window of array rows, bit-identical to stepping: each window
 first plans all of its edges and the inputs they give every row, then sums
 the membranes down the rows on their own, and a spike whose charge moves
-its ring's edge ends the window after its step. External pulse trains
-enter a run as a table of the steps each pulse covers, and each window
-takes the levels of its own rows from the pulses that cross them.
+its ring's edge ends the window after its step. Outside pulses enter as
+(channel, rise, end) rows, as the connections' own pulses do, and each
+window ORs those that rise in its steps with its own.
 """
 
 from __future__ import annotations
@@ -205,19 +205,20 @@ def _rescan(ufunc, block, start, first) -> np.ndarray:
 class NetworkSim:
     """Stepping kernel over one built network.
 
-    State lives in flat arrays; step() advances everything by dt. External
-    excitatory/inhibitory pulse levels can be injected per step, either as a
-    boolean per neuron or as a scalar broadcast to all neurons. Within a
-    step: find the ring edges the oscillators reach during the step, start
-    one weighted pulse per outgoing connection at each edge's time, drive
-    every neuron by the fraction of the step its OR-ed pulses cover, advance
-    the neurons, and charge the owned synapse of each neuron that fired at
-    its threshold crossing. An edge depends only on the synapse state at the
-    step's start, so a pulse acts from the step it starts in. What stays
-    approximate inside a step: the crossing time assumes the step's mean
-    rate, a ring runs at its frequency at the step's midpoint, external
-    inputs keep their level at the step start, and a ring wrap that a
-    spike's charge causes late in the step is emitted at the next step start.
+    State lives in flat arrays; step() advances everything by dt. Outside
+    pulses are (channel, rise, end) rows in absolute seconds, where channel
+    j is neuron j's excitatory input and n + j its inhibitory one, as for
+    the connections. Within a step: find the ring edges the oscillators
+    reach during the step, start one weighted pulse per outgoing connection
+    at each edge's time, drive every neuron by the fraction of the step the
+    OR of its pulses covers, advance the neurons, and charge the owned
+    synapse of each neuron that fired at its threshold crossing. An edge
+    depends only on the synapse state at the step's start, so a pulse acts
+    from the step it starts in. What stays approximate inside a step: the
+    crossing time assumes the step's mean rate, a ring runs at its frequency
+    at the step's midpoint, train_force's feedback levels cover whole steps,
+    and a ring wrap that a spike's charge causes late in the step is emitted
+    at the next step start.
 
     step(rows=...) and advance() commit many steps at once as one window of
     array rows, bit-identical to as many single steps. The window first
@@ -310,9 +311,21 @@ class NetworkSim:
         return (self._channel[conn], start, start + self._widths[conn],
                 np.repeat(rows, counts))
 
+    def _outside_pulses(self, pulses, rows: int):
+        """The rows that rise before the end of the next rows steps, as
+        _start_pulses gives pulses: channel, start and end (s into the step
+        of the rise, clipped at the first step's start) and window row."""
+        channel, rise, end = pulses
+        row = np.searchsorted(np.arange(self.k + 1, self.k + rows + 1) * self.dt, rise,
+                              side="right")
+        keep = (row < rows).nonzero()[0]
+        row = row[keep]
+        t0 = (self.k + row) * self.dt
+        return channel[keep], np.maximum(rise[keep] - t0, 0.0), end[keep] - t0, row
+
     def recurrent_levels(self) -> tuple[np.ndarray, np.ndarray]:
-        """Per-neuron fraction of the current step that the pulses of the
-        excitatory and of the inhibitory connections cover.
+        """Per-neuron fraction of the current step that the pulses on the
+        excitatory and on the inhibitory input cover.
 
         The pulses on one input are OR-ed, so their union counts once.
         """
@@ -385,25 +398,27 @@ class NetworkSim:
         f_mid = osc_frequency(np.stack([charged, at_crossing]) * half, s)
         return charged * to_end, (f_mid[0] - f_mid[1]) * after
 
-    def step(self, ext_exc=None, ext_inh=None, rows: Optional[int] = None) -> np.ndarray:
+    def step(self, pulses=None, levels=None, rows: Optional[int] = None) -> np.ndarray:
         """Advance by dt; returns the fired mask for this step.
 
-        Given rows, advance instead by up to rows steps as one window, at
-        most self._max_rows of them; the window ends early after a step
-        whose spike's charge could move its ring's edge. ext_exc and ext_inh
-        then hold one row of levels per step asked for (a column per neuron
-        or one for all), the mask has one row per committed step,
-        self.edged marks every ring that wrapped in them, and self._win[2]
-        and self._win[0] hold the membranes and v_syn after step r in row
-        r + 1.
+        pulses holds (channel, rise, end) arrays of outside pulses: those
+        that rise before the step's end act from their rise, or from its
+        start if earlier. levels holds an excitatory and an inhibitory
+        level for every neuron, as train_force's feedback. Given rows,
+        advance instead by up to rows steps as one window, at most
+        self._max_rows of them, with a column of levels per step; the window
+        ends early after a step whose spike's charge could move its ring's
+        edge. The mask then has one row per committed step, self.edged marks
+        every ring that wrapped in them, and self._win[2] and self._win[0]
+        hold the membranes and v_syn after step r in row r + 1.
         """
         if rows is None:
-            return self._step(ext_exc, ext_inh)
+            return self._step(pulses, levels)
         if not 1 <= rows <= self._max_rows:
             raise ValueError(f"rows must be in [1, {self._max_rows}], got {rows}")
-        return self._window(rows, ext_exc, ext_inh)
+        return self._window(rows, pulses, levels)
 
-    def _step(self, ext_exc, ext_inh) -> np.ndarray:
+    def _step(self, pulses, levels) -> np.ndarray:
         p = self.neuron
         s = self.synapse
         dt = self.dt
@@ -412,18 +427,20 @@ class NetworkSim:
         edged = phase >= 1.0
         self.edged = edged
         if edged.any():
-            ids = np.flatnonzero(edged)
+            ids = edged.nonzero()[0]
             # a wrap carried over from a spike late in the last step starts at 0
             to_wrap = np.maximum(1.0 - self.sphase[ids], 0.0)
             self._starts = self._start_pulses(ids, to_wrap / np.maximum(f[ids], s.f_min),
                                               np.zeros_like(ids))
             phase[ids] -= 1.0
+        if pulses is not None:
+            outside = self._outside_pulses(pulses, 1)
+            self._starts = outside if self._starts is None else [
+                np.concatenate(a) for a in zip(self._starts, outside)]
 
         exc, inh = self.recurrent_levels()
-        if ext_exc is not None:
-            exc = np.maximum(exc, ext_exc)
-        if ext_inh is not None:
-            inh = np.maximum(inh, ext_inh)
+        if levels is not None:
+            exc, inh = np.maximum(exc, levels[0]), np.maximum(inh, levels[1])
         rate = p.r_base + p.r_exc * exc - p.r_inh * inh
         v = np.maximum(self.v + rate * dt, 0.0)
         fired = v >= p.v_th
@@ -435,7 +452,7 @@ class NetworkSim:
             # Charge each synapse at its neuron's threshold crossing, which
             # the overshoot dates back from the step end, and credit its
             # ring the extra phase from the crossing to the step end.
-            ids = np.flatnonzero(fired)
+            ids = fired.nonzero()[0]
             sv[ids], credit = self._charge(sv[ids], v[ids] / rate[ids])
             phase[ids] += credit
         self.sv = sv
@@ -443,30 +460,39 @@ class NetworkSim:
         self.k += 1
         return fired
 
-    def advance(self, n_steps: int, ext_exc=None, ext_inh=None,
+    def advance(self, n_steps: int, pulses=None, levels=None,
                 recorder: Optional["Recorder"] = None) -> None:
         """Advance by n_steps steps, bit-identical to as many step() calls.
 
-        ext_exc and ext_inh hold one row of levels per step: a boolean per
-        neuron, or one boolean for all neurons. Each window takes its rows
-        as the slice ext[done:done + rows], so a 2-D source only needs to
-        slice like an array, as simulate's _PulseSpans does. The recorder,
-        if given, receives the state after every step and the spikes.
+        pulses and levels are as for step(), with a column of levels per
+        step; each window gets the pulses that rise in its steps (or before
+        the first), and those that rise after the last are dropped. The
+        recorder, if given, receives the state after every step and the
+        spikes.
         """
-        ext = [e if e is None or np.ndim(e) == 2 else np.asarray(e)[:, None]
-               for e in (ext_exc, ext_inh)]
-        done = 0
+        if pulses is not None:
+            order = np.argsort(pulses[1], kind="stable")
+            channel, rise, end = (np.asarray(a)[order] for a in pulses)
+        if levels is not None:  # _plan takes the maximum with floats 2x faster
+            levels = np.asarray(levels, dtype=float)
+        done = lo = 0
         while done < n_steps:
             rows = min(n_steps - done, self._max_rows)
             k = self.k
-            fired = self.step(*[None if e is None else e[done:done + rows] for e in ext],
+            window = None
+            if pulses is not None:
+                hi = int(np.searchsorted(rise, (k + rows) * self.dt))
+                window = (channel[lo:hi], rise[lo:hi], end[lo:hi])
+            fired = self.step(window, None if levels is None else levels[:, done:done + rows],
                               rows=rows)
             done += len(fired)
+            if pulses is not None:
+                lo = int(np.searchsorted(rise, self.k * self.dt))
             if recorder is not None:
                 recorder.record(k, self._win[2, 1:len(fired) + 1],
                                 self._win[0, 1:len(fired) + 1], fired)
 
-    def _window(self, rows: int, ext_exc, ext_inh) -> np.ndarray:
+    def _window(self, rows: int, pulses, levels) -> np.ndarray:
         """Commit up to rows steps as one window; returns their fired mask.
 
         self._win holds per step row r the states at its start (r) and end
@@ -505,14 +531,12 @@ class NetworkSim:
         # the rows before the edge.
         edge_row = (phase[1:] < 1.0).sum(axis=0)
         offset = np.zeros(n)  # each edge's time into its step
-        edged = np.flatnonzero(edge_row < rows)
+        edged = (edge_row < rows).nonzero()[0]
         if len(edged):
             self._wrap(edged, edge_row[edged], offset, rows)
         t0 = np.arange(self.k, self.k + rows) * dt  # the steps' start times
-        # as float: _plan's maximum of a float plane against bool levels
-        # takes about twice as long as against float ones
-        ext = [e if e is None else np.asarray(e, dtype=float) for e in (ext_exc, ext_inh)]
-        channel, union_row, until = self._plan(edge_row, offset, t0, ext)
+        outside = None if pulses is None else self._outside_pulses(pulses, rows)
+        channel, union_row, until = self._plan(edge_row, offset, t0, outside, levels)
 
         v[0] = self.v
         fired = self._membranes(v, x)
@@ -528,7 +552,7 @@ class NetworkSim:
             # takes its charge there: until then its rows lack the charge,
             # which only speeds a ring, so they show no false edge. The
             # first that can ends the window after its row.
-            near = np.flatnonzero(folded >= 1.0 - 1e-9 - (rows - rs) * self._phase_step)
+            near = (folded >= 1.0 - 1e-9 - (rows - rs) * self._phase_step).nonzero()[0]
             if len(near):
                 f_next = osc_frequency(sv_end[near] * self._mid_decay, s)
                 moves = (spike_phase[near] + (rows - 1 - rs[near]) * dt * f_next
@@ -579,7 +603,7 @@ class NetworkSim:
         cols = np.arange(n)  # the columns of event
         while True:  # each round restarts its columns at later rows
             first = event.argmax(axis=0)
-            has = np.flatnonzero(event[first, np.arange(len(cols))])
+            has = event[first, np.arange(len(cols))].nonzero()[0]
             if not len(has):
                 break
             cols, at = cols[has], first[has]
@@ -620,21 +644,25 @@ class NetworkSim:
         np.copyto(old, block, where=after)
         phase[lo:end + 1, ids] = old
 
-    def _plan(self, edge_row, offset, t0, ext):
+    def _plan(self, edge_row, offset, t0, outside, levels):
         """Fill the membranes' rate and rise (self._win[3:5]) in the window
         rows that start at the times t0, under the pulses of every ring edge
-        in edge_row. Returns the unions of the pulses that start on each
-        channel in each row, by channel and then by row: per union its
-        channel, its row and the channel's until after it.
+        in edge_row and the outside ones (or None). Returns the unions of
+        the pulses that start on each channel in each row, by channel and
+        then by row: per union its channel, its row and the channel's until
+        after it.
 
         Each input level follows from the end time of its channel's pulses
-        and, in the rows where pulses start, from their union; ext holds the
-        external levels of the rows.
+        and, in the rows where pulses start, from their union, or from the
+        levels of the row (or None) where they are higher.
         """
         n, dt, p = self.n, self.dt, self.neuron
         rows = len(t0)
-        ids = np.flatnonzero(edge_row < rows)
-        channel, start, end, row = self._start_pulses(ids, offset[ids], edge_row[ids])
+        ids = (edge_row < rows).nonzero()[0]
+        pulses = self._start_pulses(ids, offset[ids], edge_row[ids])
+        if outside is not None:
+            pulses = [np.concatenate(a) for a in zip(pulses, outside)]
+        channel, start, end, row = pulses
         c, r, covered, after = self._unions(channel, row, start, end, t0,
                                             self._until.copy())
         plane, col = np.divmod(c, n)
@@ -664,10 +692,9 @@ class NetworkSim:
         np.clip(lv, 0.0, dt, out=lv)
         np.divide(lv, dt, out=lv)
         lv[plane, r, col] = covered / dt
+        if levels is not None:
+            np.maximum(lv, levels[:, :, None], out=lv)
         rate, x = lv
-        for lvl, e in zip(lv, ext):
-            if e is not None:
-                np.maximum(lvl, e, out=lvl)
         np.multiply(rate, p.r_exc, out=rate)
         np.add(rate, p.r_base, out=rate)
         np.multiply(x, p.r_inh, out=x)
@@ -765,50 +792,12 @@ class Recorder:
                         **readout)
 
 
-class _PulseSpans:
-    """The external levels of one input side of a run, a slice of rows at
-    a time.
-
-    Per pulse the table holds its first high step, the step after its last
-    and its neuron, in order of first step: a step is high where its start
-    time lies in [rise, rise + width), as PulseTrain.step_levels samples
-    it. Slicing rows [a:b] gives their (b - a, n) boolean levels, set from
-    the pulses that cross them and from nothing else, so the table takes
-    memory per pulse, not per step and neuron. advance slices it as it
-    slices a level array.
-    """
-
-    ndim = 2
-
-    def __init__(self, trains, n: int, times: np.ndarray):
-        col = np.concatenate([np.full(len(train), idx) for idx, train in trains])
-        first = np.searchsorted(times, np.concatenate([train.rises for _, train in trains]))
-        stop = np.searchsorted(times, np.concatenate([train.ends for _, train in trains]))
-        keep = np.flatnonzero(first < stop)  # pulses that cover a step start
-        order = keep[np.argsort(first[keep], kind="stable")]
-        self._first, self._stop, self._col = first[order], stop[order], col[order]
-        self._reach = np.maximum.accumulate(self._stop)  # the latest stop so far
-        self._shape = (len(times), n)
-
-    def __getitem__(self, rows: slice) -> np.ndarray:
-        a, b, _ = rows.indices(self._shape[0])
-        block = np.zeros((max(b - a, 0), self._shape[1]), dtype=bool)
-        # the pulses before lo stop by row a, those from hi on start at b or later
-        lo = int(np.searchsorted(self._reach, a, side="right"))
-        hi = int(np.searchsorted(self._first, b))
-        start = np.maximum(self._first[lo:hi], a) - a
-        count = np.maximum(np.minimum(self._stop[lo:hi], b) - a - start, 0)
-        row = np.arange(int(count.sum())) + np.repeat(start - (np.cumsum(count) - count),
-                                                      count)
-        block[row, np.repeat(self._col[lo:hi], count)] = True
-        return block
-
-
-def _external_levels(external_inputs, n_neurons, dt, n_steps):
-    """Check external_inputs and give each input side's levels for advance:
-    a _PulseSpans over its trains, or None where no train has a pulse."""
+def _external_pulses(external_inputs, n_neurons, dt, n_steps):
+    """Check external_inputs and give their pulses as (channel, rise, end)
+    rows for advance, or None for none. A row runs over the steps whose
+    start its pulse covers, as PulseTrain.step_levels samples them."""
     if not external_inputs:
-        return None, None
+        return None
     for idx, pair in external_inputs.items():
         if isinstance(idx, bool) or not isinstance(idx, (int, np.integer)):
             raise ConfigurationError(
@@ -819,13 +808,18 @@ def _external_levels(external_inputs, n_neurons, dt, n_steps):
                 and all(train is None or isinstance(train, PulseTrain) for train in pair)):
             raise ConfigurationError(
                 f"external input {idx}: must be a pair of PulseTrain or None")
+    trains = [(idx + side * n_neurons, train) for idx, pair in external_inputs.items()
+              for side, train in enumerate(pair) if train is not None]
+    if not trains:
+        return None
     times = np.arange(n_steps) * dt
-    levels = []
-    for side in (0, 1):
-        trains = [(idx, pair[side]) for idx, pair in external_inputs.items()
-                  if pair[side] is not None and len(pair[side]) > 0]
-        levels.append(_PulseSpans(trains, n_neurons, times) if trains else None)
-    return tuple(levels)
+    first = np.searchsorted(times, np.concatenate([train.rises for _, train in trains]))
+    stop = np.searchsorted(times, np.concatenate([train.ends for _, train in trains]))
+    keep = (first < stop).nonzero()[0]  # the pulses that cover a step start
+    if not len(keep):
+        return None
+    channel = np.concatenate([np.full(len(train), c) for c, train in trains])
+    return channel[keep], first[keep] * dt, stop[keep] * dt
 
 
 def simulate(network: Network, external_inputs=None, duration: float = 1.0) -> TraceSet:
@@ -835,17 +829,16 @@ def simulate(network: Network, external_inputs=None, duration: float = 1.0) -> T
     inhibitory PulseTrain); either entry may be None. A key that is not an
     int neuron index in range, or a value that is not such a pair, raises
     ConfigurationError. Trains extending past the duration are accepted,
-    the excess is ignored. The run is one NetworkSim.advance call, which
-    commits its steps in windows of array rows and is bit-identical to
-    stepping; each window's external levels are set from the pulses that
-    cross its rows, so no array of a level per step and neuron is made.
+    the excess is ignored. Each pulse becomes a row over the steps whose
+    start it covers, and the run is one NetworkSim.advance call over them,
+    which commits its steps in windows of array rows and is bit-identical
+    to stepping.
     """
     check_duration(duration)
     cfg = network.config
-    dt = cfg.dt
-    n_steps = int(round(duration / dt))
+    n_steps = int(round(duration / cfg.dt))
     sim = NetworkSim(network)
-    ext_exc, ext_inh = _external_levels(external_inputs, cfg.n_neurons, dt, n_steps)
+    pulses = _external_pulses(external_inputs, cfg.n_neurons, cfg.dt, n_steps)
     recorder = Recorder(sim, n_steps, cfg.sample_interval)
-    sim.advance(n_steps, ext_exc, ext_inh, recorder)
+    sim.advance(n_steps, pulses, recorder=recorder)
     return recorder.traces(duration)

@@ -57,7 +57,9 @@ def rls_update(rls: RlsState, r, z: float, target: float) -> RlsState:
     e = z - target
     k = rls.P @ r
     c = 1.0 / (1.0 + r @ k)
-    P = rls.P - c * np.outer(k, k)
+    P = np.outer(k, k)  # P - c k k^T in one temporary, the same bytes: negation is exact
+    P *= -c
+    P += rls.P
     w = rls.w - c * e * k
     return RlsState(w=w, P=P)
 
@@ -158,7 +160,7 @@ class TrainConfig:
 
 
 class _PulseEmitter:
-    """Online unit-crossing emitter feeding a pulse countdown."""
+    """Online unit-crossing emitter of whole-step feedback pulses."""
 
     def __init__(self, width_steps: int):
         self.phase = 0.5
@@ -170,15 +172,18 @@ class _PulseEmitter:
 
         A step adds rate*dt (rates are >= 0) to the phase; a step that
         brings it to 1 wraps it and holds the level high for width_steps
-        steps from there. The phase is folded by phase_wraps, in the order
-        a step-by-step loop would add it; a rate above 1/dt leaves the
-        phase at or above 1, and each step then wraps once.
+        steps from there. The phase is folded by phase_wraps over the steps
+        at a rate above 0, in the order a step-by-step loop would add it. A
+        rate above 1/dt leaves the phase at or above 1, and each such step
+        then wraps once; a step at rate 0 never wraps.
         """
         inc = np.asarray(rates, dtype=float) * dt
         n = len(inc)
         level = np.zeros(n, dtype=bool)
         level[:self.countdown] = True
-        wraps, _, self.phase = phase_wraps(self.phase, inc, n)
+        live = (inc > 0).nonzero()[0]
+        wraps, _, self.phase = phase_wraps(self.phase, inc[live], len(live))
+        wraps = live[wraps]
         for k in wraps.tolist():
             level[k:k + self.width_steps] = True
         if wraps.size:
@@ -198,7 +203,8 @@ def train_force(network: Network, train_cfg: TrainConfig, fb: FeedbackParams,
     and the sampled state vectors. The readout starts from init_w, or
     from zero weights when it is None (P starts at I/rls_init_alpha).
 
-    The feedback levels of each learn interval are computed before the
+    The feedback levels of each learn interval, which hold each pulse high
+    for pulse_width rounded to whole steps, are computed before the
     interval, and its steps go through one NetworkSim.advance call, which
     commits them as one window when the interval is short enough; the
     result is bit-identical to stepping with the feedback encoded step by
@@ -256,8 +262,8 @@ def train_force(network: Network, train_cfg: TrainConfig, fb: FeedbackParams,
             forced = ks < train_steps
             sig[forced] = target.value(ks[forced] * dt)
         f_exc, f_inh = encode_feedback(sig, fb)
-        sim.advance(len(ks), exc_gen.levels(f_exc, dt), inh_gen.levels(f_inh, dt),
-                    recorder)
+        sim.advance(len(ks), levels=(exc_gen.levels(f_exc, dt), inh_gen.levels(f_inh, dt)),
+                    recorder=recorder)
         if sim.k % m:
             continue
         t = sim.k * dt

@@ -102,19 +102,20 @@ def test_calibrated_chain_reproduces_anchors(paper_fit):
                         synapse=paper_fit.synapse)
     duration = 2.0
     n_steps = int(round(duration / cfg.dt))
-    drive = weighted_drive(100.0, 12, duration).step_levels(cfg.dt, n_steps)[:, None]
+    drive = weighted_drive(100.0, 12, duration).step_levels(cfg.dt, n_steps)
+    off = np.zeros(n_steps, dtype=bool)
     cases = {
-        "syn_inhibited_hz": (None, drive, 41.0, 0.15),
-        "syn_free_hz": (None, None, 90.0, 0.05),
-        "syn_excited_hz": (drive, None, 98.0, 0.05),
+        "syn_inhibited_hz": ((off, drive), 41.0, 0.15),
+        "syn_free_hz": ((off, off), 90.0, 0.05),
+        "syn_excited_hz": ((drive, off), 98.0, 0.05),
     }
-    for name, (exc, inh, target, tol) in cases.items():
+    for name, (levels, target, tol) in cases.items():
+        levels = np.array(levels, dtype=float)  # excitatory, inhibitory per step
         sim = NetworkSim(build_network(cfg))
         done = edges = 0
         while done < n_steps:
             rows = min(n_steps - done, sim._max_rows)
-            fired = sim.step(*[None if e is None else e[done:done + rows]
-                               for e in (exc, inh)], rows=rows)
+            fired = sim.step(levels=levels[:, done:done + rows], rows=rows)
             done += len(fired)
             edges += int(sim.edged.sum())  # a ring wraps once per window at most
         measured = edges / duration

@@ -11,7 +11,7 @@ from tdsnn import (ConfigurationError, Connection, Network, NetworkConfig,
                    WeightParams, build_network, pulse_width, simulate,
                    weighted_drive)
 from tdsnn import network
-from tdsnn.network import Recorder, _external_levels
+from tdsnn.network import Recorder, _external_pulses
 from tdsnn.measure import run_neuron
 from tdsnn.synapse import osc_frequency
 from tdsnn.weight import N_CODES
@@ -272,6 +272,29 @@ def test_simulate_rejects_a_duration_that_is_not_finite():
 # simulate() and NetworkSim.advance() against a plain loop over step()
 # ---------------------------------------------------------------------------
 
+def step_pulses(rows, k, dt):
+    """The (channel, rise, end) arrays of the rows that rise in step k, or
+    before it for k = 0; None for none."""
+    rows = [row for row in rows if (k == 0 or k * dt <= row[1]) and row[1] < (k + 1) * dt]
+    return tuple(np.array(column) for column in zip(*rows)) if rows else None
+
+
+def train_rows(external_inputs, n, dt, n_steps):
+    """simulate's (channel, rise, end) row of each pulse of the trains: it
+    covers the steps whose start the pulse covers, as step_levels samples
+    it, on channel i for neuron i's excitatory input and n + i for its
+    inhibitory one."""
+    times = np.arange(n_steps) * dt
+    rows = []
+    for i, pair in (external_inputs or {}).items():
+        for side, train in enumerate(pair):
+            for rise, end in zip(train.rises, train.ends) if train is not None else []:
+                high = ((times >= rise) & (times < end)).nonzero()[0]
+                if len(high):
+                    rows.append((i + side * n, high[0] * dt, (high[-1] + 1) * dt))
+    return rows
+
+
 def stepped_run(network, external_inputs, duration):
     """simulate() written as a plain loop over NetworkSim.step.
 
@@ -281,15 +304,7 @@ def stepped_run(network, external_inputs, duration):
     cfg = network.config
     dt, n = cfg.dt, cfg.n_neurons
     n_steps = int(round(duration / dt))
-    exc = inh = None
-    if external_inputs:
-        exc = np.zeros((n_steps, n), dtype=bool)
-        inh = np.zeros((n_steps, n), dtype=bool)
-        for i, (exc_train, inh_train) in external_inputs.items():
-            if exc_train is not None:
-                exc[:, i] = exc_train.step_levels(dt, n_steps)
-            if inh_train is not None:
-                inh[:, i] = inh_train.step_levels(dt, n_steps)
+    rows = train_rows(external_inputs, n, dt, n_steps)
     sim = NetworkSim(network)
     every = max(1, int(round(cfg.sample_interval / dt)))
     run = {"sample_times": [0.0], "v_mem": [sim.v], "v_syn": [sim.sv],
@@ -297,8 +312,7 @@ def stepped_run(network, external_inputs, duration):
            "v": [], "phase": [], "fired": [], "edged": []}
     spikes = [[] for _ in range(n)]
     for k in range(n_steps):
-        fired = sim.step(None if exc is None else exc[k],
-                         None if inh is None else inh[k])
+        fired = sim.step(step_pulses(rows, k, dt))
         for i in np.flatnonzero(fired):
             spikes[i].append((k + 1) * dt)
         if (k + 1) % every == 0:
@@ -470,52 +484,117 @@ def test_spike_charge_that_wraps_its_ring_wraps_it_in_the_window(kernel_calls):
     assert sim.k == oracle.k == 20
 
 
-def test_external_levels_match_the_step_levels_of_each_train():
-    # dt is a power of two, so the exact train's pulse ends fall on step
-    # times without rounding.
-    dt, n_steps, n = 2.0 ** -13, 400, 6
-    rng = np.random.default_rng(7)
+def random_train(rng, dt):
+    """30 pulses of random widths and gaps; some gaps are 0, so their
+    pulses are adjacent."""
+    widths = rng.uniform(0.2, 30.0, 30) * dt
+    gaps = np.where(rng.random(30) < 0.3, 0.0, rng.uniform(0.1, 40.0, 30) * dt)
+    rises = np.cumsum(np.concatenate(([rng.uniform(0.0, 5.0) * dt], (widths + gaps)[:-1])))
+    return PulseTrain(rises, widths)
 
-    def random_train():
-        widths = rng.uniform(0.2, 30.0, 30) * dt
-        gaps = np.where(rng.random(30) < 0.3, 0.0, rng.uniform(0.1, 40.0, 30) * dt)
-        rises = np.cumsum(np.concatenate(([rng.uniform(0.0, 5.0) * dt],
-                                          (widths + gaps)[:-1])))
-        return PulseTrain(rises, widths)  # 0 gaps: adjacent pulses
 
-    # adjacent pulses at step 10, an end exactly on step 14, a pulse that
-    # covers only the start of step 20, one between two step starts, and
-    # one past the last step
+def edge_case_trains(dt):
+    """A train with adjacent pulses at step 10, an end exactly on step 14,
+    a pulse that covers only the start of step 20, one between two step
+    starts and one past step 400, and a train whose first pulse rises
+    before 0. Exact for dt a power of two."""
     exact = PulseTrain(np.array([3.0, 10.0, 20.0, 30.25, 450.0]) * dt,
                        np.array([7.0, 4.0, 0.5, 0.5, 9.0]) * dt)
+    early = PulseTrain(np.array([-2.5, 5.5]) * dt, np.array([3.25, 2.0]) * dt)
+    return exact, early
+
+
+def covered_fraction(pulses, t0, dt):
+    """The fraction of the step [t0, t0 + dt) that the union of the
+    [rise, end) pulses covers."""
+    covered, reach = 0.0, t0
+    for rise, end in sorted(pulses):
+        start, stop = max(rise, reach), min(end, t0 + dt)
+        if stop > start:
+            covered += stop - start
+            reach = stop
+    return covered / dt
+
+
+def test_stepped_input_levels_are_the_covered_fraction_of_the_union_of_pulses(
+        monkeypatch):
+    # A network without connections, whose inputs take only outside pulses:
+    # two overlapping random trains on one input, adjacent pulses, ends on
+    # step starts, pulses inside a step and one that rises before 0, of
+    # which only the part from 0 on counts.
+    dt, n_steps, n = 2.0 ** -13, 400, 6
+    rng = np.random.default_rng(7)
+    exact, early = edge_case_trains(dt)
     assert exact.ends[1] == np.arange(n_steps)[14] * dt
-    inputs = {0: (random_train(), None), 1: (None, random_train()),
-              2: (random_train(), random_train()), 3: (exact, PulseTrain()),
-              5: (None, exact)}
-    assert all(train.ends[-1] > n_steps * dt for pair in inputs.values()
-               for train in pair if train is not None and len(train))
-    # Window-sized slices over the whole run: [5, 12) starts and ends
-    # inside the exact train's first two pulses, and [12, 14) ends on the
-    # step start at which its second one ends.
-    bounds = [0, 5, 12, 14, 21, *range(60, n_steps, 57), n_steps]
-    runs = []
-    for levels, side in zip(_external_levels(inputs, n, dt, n_steps), (0, 1)):
-        blocks = [levels[a:b] for a, b in zip(bounds, bounds[1:])]
-        assert [block.shape for block in blocks] == [(b - a, n) for a, b in
-                                                     zip(bounds, bounds[1:])]
-        run = np.concatenate(blocks)
-        for i in range(n):
-            train = inputs.get(i, (None, None))[side]
-            expected = train.step_levels(dt, n_steps) if train is not None \
-                else np.zeros(n_steps, dtype=bool)
-            assert run[:, i].tobytes() == expected.tobytes(), (side, i)
-        runs.append(run)
-    assert runs[0][[9, 10, 13, 20], 3].all() and not runs[0][[14, 21, 30, 31], 3].any()
-    assert _external_levels({0: (PulseTrain(), None)}, n, dt,
-                            n_steps) == (None, None)
-    for idx in (n, -1):
-        with pytest.raises(ConfigurationError, match="unknown neuron"):
-            _external_levels({idx: (None, None)}, n, dt, n_steps)
+    pulses = [(0, random_train(rng, dt)), (0, random_train(rng, dt)), (1, exact),
+              (2, early), (n + 1, random_train(rng, dt)), (n + 3, exact),
+              (n + 3, random_train(rng, dt)), (2 * n - 1, early)]
+    net = build_network(NetworkConfig(n_neurons=n, dt=dt, sample_interval=dt))
+
+    levels = {}
+    delivered = NetworkSim.recurrent_levels
+
+    def spy(self):
+        levels[self.k] = np.concatenate(delivered(self))
+        return levels[self.k][:n], levels[self.k][n:]
+
+    monkeypatch.setattr(NetworkSim, "recurrent_levels", spy)
+    rows = [(c, rise, end) for c, train in pulses
+            for rise, end in zip(train.rises.tolist(), train.ends.tolist())]
+    oracle = NetworkSim(net)
+    v, fired = [oracle.v], []
+    for k in range(n_steps):
+        fired.append(oracle.step(step_pulses(rows, k, dt)))
+        v.append(oracle.v)
+    by_channel = [[(rise, end) for c, rise, end in rows if c == channel]
+                  for channel in range(2 * n)]
+    expected = np.array([[covered_fraction(p, k * dt, dt) for p in by_channel]
+                         for k in range(n_steps)])
+    got = np.array([levels[k] for k in range(n_steps)])
+    assert got == pytest.approx(expected, abs=1e-12, rel=0)
+    assert ((got > 0.0) & (got < 1.0)).sum() > 50
+    assert got[[9, 10, 13], 1].tolist() == [1.0] * 3
+    assert got[[14, 21, 31], 1].tolist() == [0.0] * 3
+    assert got[[20, 30], 1].tolist() == [0.5] * 2
+    assert got[[0, 1, 5, 6, 7], 2].tolist() == [0.75, 0.0, 0.5, 1.0, 0.5]
+
+    # advance over the same rows commits them in windows, bit-identical
+    sim = NetworkSim(net)
+    recorder = Recorder(sim, n_steps, dt)
+    sim.advance(n_steps, tuple(np.array(column) for column in zip(*rows)), recorder=recorder)
+    traces = recorder.traces(n_steps * dt)
+    assert traces.v_mem.tobytes() == np.array(v).tobytes()
+    steps, ids = np.nonzero(np.array(fired))
+    assert len(steps) and [s.tobytes() for s in traces.spikes] == \
+        [((steps[ids == i] + 1) * dt).tobytes() for i in range(n)]
+
+
+def test_simulate_gives_each_pulse_a_row_over_the_step_starts_it_covers():
+    # Each row rises and ends on step starts, and a channel's rows cover
+    # the steps of its train's step levels; adjacent pulses keep a row
+    # each, and a pulse that covers no step start has none.
+    dt, n_steps, n = 2.0 ** -13, 400, 6
+    rng = np.random.default_rng(7)
+    exact, early = edge_case_trains(dt)
+    inputs = {0: (random_train(rng, dt), None), 1: (None, random_train(rng, dt)),
+              2: (random_train(rng, dt), random_train(rng, dt)), 3: (exact, PulseTrain()),
+              4: (early, None), 5: (None, exact)}
+    channel, rise, end = _external_pulses(inputs, n, dt, n_steps)
+    starts = np.arange(n_steps + 1) * dt
+    assert np.isin(rise, starts[:-1]).all() and np.isin(end, starts).all()
+    times = starts[:-1]
+    for i, pair in inputs.items():
+        for side, train in enumerate(pair):
+            covered = np.zeros(n_steps, dtype=bool)
+            for a, b in zip(rise[channel == i + side * n], end[channel == i + side * n]):
+                covered[(times >= a) & (times < b)] = True
+            expected = PulseTrain() if train is None else train
+            assert covered.tolist() == expected.step_levels(dt, n_steps).tolist(), (i, side)
+    assert (rise[channel == 3] / dt).tolist() == [3.0, 10.0, 20.0]
+    assert (end[channel == 3] / dt).tolist() == [10.0, 14.0, 21.0]
+    assert (rise[channel == 4] / dt).tolist() == [0.0, 6.0]
+    assert (end[channel == 4] / dt).tolist() == [1.0, 8.0]
+    assert _external_pulses({0: (PulseTrain(), None)}, n, dt, n_steps) is None
 
 
 @pytest.mark.parametrize("inputs, message", [
@@ -524,7 +603,10 @@ def test_external_levels_match_the_step_levels_of_each_train():
     ({"0": (periodic_train(100.0, 1e-4, 0.01), None)}, "key '0': must be an int"),
     ({0: periodic_train(100.0, 1e-4, 0.01)}, "input 0: must be a pair"),
     ({0: ([0.001], None)}, "input 0: must be a pair"),
-], ids=["bool-key", "float-key", "str-key", "bare-train", "list-not-train"])
+    ({2: (None, None)}, "unknown neuron 2"),
+    ({-1: (None, None)}, "unknown neuron -1"),
+], ids=["bool-key", "float-key", "str-key", "bare-train", "list-not-train",
+        "unknown-neuron", "negative-neuron"])
 def test_simulate_rejects_bad_external_inputs(inputs, message):
     net = build_network(NetworkConfig(n_neurons=2))
     with pytest.raises(ConfigurationError, match=message):
@@ -565,8 +647,8 @@ def kernel_calls(monkeypatch):
     calls = []
     step = NetworkSim.step
 
-    def spy(self, ext_exc=None, ext_inh=None, rows=None):
-        fired = step(self, ext_exc, ext_inh, rows=rows)
+    def spy(self, pulses=None, levels=None, rows=None):
+        fired = step(self, pulses, levels, rows=rows)
         if rows is not None:
             calls.append((rows, len(fired), bool(self.edged.any())))
         return fired
@@ -980,19 +1062,6 @@ def test_charge_whose_ring_stays_silent_waits_for_the_window_end(kernel_calls):
     assert kernel_calls == [(rows, rows, False)]
 
 
-def test_advance_takes_external_levels_as_nested_lists():
-    # One row of levels per step and a column per neuron, as lists: the
-    # windows read them like arrays, bit-identical to stepping.
-    net = build_network(NetworkConfig(n_neurons=3, connection_probability=0.5, seed=1))
-    ext = (np.arange(300)[:, None] % 7 < 3) & np.array([True, False, True])
-    sim, oracle = NetworkSim(net), NetworkSim(net)
-    sim.advance(300, ext.tolist(), ext[:, ::-1].tolist())
-    for k in range(300):
-        oracle.step(ext[k], ext[k, ::-1])
-    for name in ("v", "sv", "sphase"):
-        assert getattr(sim, name).tobytes() == getattr(oracle, name).tobytes(), name
-
-
 # ---------------------------------------------------------------------------
 # Every fold down a window's rows, by accumulate and by row loop
 # ---------------------------------------------------------------------------
@@ -1108,21 +1177,22 @@ def test_membranes_match_the_row_loop(case, membrane_pass):
 
 def test_external_inhibition_that_clamps_every_membrane_matches_steps(membrane_pass,
                                                                       kernel_calls):
-    # One inhibitory level for all neurons, high for 20 steps inside a
-    # window, clamps every membrane at 0; the windows match single steps
-    # bit for bit.
+    # One whole-step inhibitory level for all neurons, as train_force feeds
+    # back, high for 20 steps inside a window, clamps every membrane at 0;
+    # the windows match single steps bit for bit.
     net = build_network(NetworkConfig(n_neurons=30, connection_probability=0.2, seed=3))
     n_steps = 1200
     inh = np.zeros(n_steps, dtype=bool)
     inh[10:30] = True
+    levels = np.stack([np.zeros(n_steps, dtype=bool), inh])
     sim, oracle = NetworkSim(net), NetworkSim(net)
     oracle.v[:] = sim.v[:] = np.linspace(0.0, 0.06, 30)
     v, fired = [], []
     for k in range(n_steps):
-        fired.append(oracle.step(None, inh[k]))
+        fired.append(oracle.step(levels=levels[:, k]))
         v.append(oracle.v)
     recorder = Recorder(sim, n_steps, sim.dt)
-    sim.advance(n_steps, None, inh, recorder)
+    sim.advance(n_steps, levels=levels, recorder=recorder)
     traces = recorder.traces(n_steps * sim.dt)
     assert traces.v_mem[1:].tobytes() == np.array(v).tobytes()
     steps, ids = np.nonzero(np.array(fired))

@@ -96,6 +96,24 @@ def test_rls_training_error_nondivergent():
     assert np.mean(errs[-100:]) < np.mean(errs[:100])
 
 
+@pytest.mark.parametrize("n", [5, 100])
+def test_rls_update_gives_the_bytes_of_p_minus_c_k_k_transposed(n):
+    # P' is built in one temporary; negating c is exact, so it matches the
+    # three-temporary expression byte for byte, and the input state is left
+    # as it was.
+    rng = np.random.default_rng(n)
+    a = rng.normal(size=(n, n))
+    rls = RlsState(w=rng.normal(size=n), P=a @ a.T / n + np.eye(n))
+    given = rls.P.copy()
+    r = rng.random(n)
+    k = rls.P @ r
+    c = 1.0 / (1.0 + r @ k)
+    out = rls_update(rls, r, 0.3, -0.2)
+    assert out.P.tobytes() == (rls.P - c * np.outer(k, k)).tobytes()
+    assert out.w.tobytes() == (rls.w - c * (0.3 - -0.2) * k).tobytes()
+    assert rls.P.tobytes() == given.tobytes()
+
+
 def test_p_stays_symmetric_over_many_updates():
     rng = np.random.default_rng(8)
     rls = RlsState.initial(20)
@@ -306,21 +324,22 @@ def emit_step(em, rate, dt, width):
 def test_pulse_emitter_matches_step_loop():
     # At 4-8 kHz with dt = 10 us the phase wraps every 12.5 to 25 steps,
     # often sooner than a 20-step pulse ends, so a wrap extends the pulse;
-    # some steps have rate 0, and some intervals are all silent. The last
-    # two intervals run at 1.5e5 Hz, 1.5 wraps a step: every step wraps
-    # once, and the phase climbs by 0.5 a step.
+    # some steps have rate 0, and some intervals are all silent. Intervals
+    # 60 and 61 run at 1.5e5 Hz, 1.5 wraps a step: every step wraps once,
+    # and the phase climbs by 0.5 a step. The silent steps after them keep
+    # that phase above 1 and must not wrap.
     dt, width = 1e-5, 20
     rng = np.random.default_rng(3)
     emitter = _PulseEmitter(width)
     em = {"phase": 0.5, "countdown": 0}
     extended = 0
-    for interval in range(62):
+    for interval in range(64):
         n = int(rng.integers(0, 120))
         rates = rng.uniform(4000.0, 8000.0, n) * (rng.random(n) < 0.9)
         if interval % 9 == 4:
             rates[:] = 0.0
         if interval >= 60:
-            rates = np.full(100, 1.5e5)
+            rates = np.full(100, 1.5e5 if interval < 62 else 0.0)
         expected = []
         for rate in rates.tolist():
             high = em["countdown"] > 0
@@ -330,6 +349,8 @@ def test_pulse_emitter_matches_step_loop():
         assert got.tolist() == expected, interval
         assert emitter.phase == em["phase"]
         assert emitter.countdown == em["countdown"]
+        if interval >= 62:  # silent: the pulse of the last wrap runs out
+            assert got.tolist() == [interval == 62] * 19 + [False] * 81
     assert extended > 10
     assert em["phase"] > 99
 
@@ -365,8 +386,8 @@ def stepped_train_force(network, train_cfg, fb):
         else:
             sig = z_held
         rates = encode_feedback(sig, fb)
-        fired = sim.step(*(emit_step(em, rate, dt, width)
-                           for em, rate in zip(emitters, rates)))
+        fired = sim.step(levels=[emit_step(em, rate, dt, width)
+                                 for em, rate in zip(emitters, rates)])
         for i in np.flatnonzero(fired):
             spikes[i].append((k + 1) * dt)
         if (k + 1) % m == 0:
