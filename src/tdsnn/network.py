@@ -13,8 +13,8 @@ need no transport delay to break same-step causality cycles. A ring edge
 is the only event by which one neuron affects another, so runs compute many
 steps as one window of array rows, bit-identical to stepping: each window
 first plans all of its edges and the inputs they give every row, then sums
-the membranes down the rows on their own, and a spike whose charge moves
-its ring's edge ends the window after its step. Outside pulses enter as
+the membranes down the rows on their own, and ends at the first edge that a
+spike's charge brings into it. Outside pulses enter as
 (channel, rise, end) rows, as the connections' own pulses do, and each
 window ORs those that rise in its steps with its own.
 """
@@ -134,7 +134,7 @@ def build_network(config: NetworkConfig) -> Network:
     u = rng.random((n, n))
     mask = u < config.connection_probability
     np.fill_diagonal(mask, False)
-    pre, post = np.nonzero(mask)
+    pre, post = np.divmod(mask.reshape(-1).nonzero()[0], n)
     is_exc = rng.random(len(pre)) < config.excitatory_fraction
     codes = rng.integers(config.code_min, config.code_max + 1, len(pre))
     return Network(config, pre, post, is_exc, codes)
@@ -196,7 +196,7 @@ def _rescan(ufunc, block, start, first) -> np.ndarray:
     start on. The rows before a start hold ufunc's identity, which the
     fold keeps."""
     after = np.arange(len(block))[:, None] >= start
-    np.copyto(block, ufunc.identity, where=~after)
+    np.putmask(block, ~after, ufunc.identity)
     block[start, np.arange(block.shape[1])] = first
     _scan(ufunc, block)
     return after
@@ -229,16 +229,17 @@ class NetworkSim:
     start there, the unions of the pulses on each input chain from row to
     row, and the inputs of every row follow in one pass. The membranes are
     then summed down the rows, each column restarted where it clamps or
-    fires. Each of these folds down the rows, of v_syn, phase or membrane,
-    is one _scan. A spike whose ring could still reach phase 1 inside the
-    window after its charge (the ring's frequency only falls after it)
-    could make or move that ring's edge, so the window ends after the first
-    such spike's step and the next window plans from there; no plan is ever
-    redone. The spikes of the committed steps are charged at the window's
-    end, all in one block. A window holds
-    fewer than v_th / ((r_base + r_exc) * dt) rows, so no neuron fires
-    twice in it, fewer than 1 / (f_max * dt) - 1, so no ring wraps twice
-    in it, and at most _WINDOW_CELLS / N, so its planes stay in cache.
+    fires. The spikes are charged last, all in one block: each charged ring
+    is folded again from its spike to the window's end. A charge can make
+    or move its ring's edge, so the window ends at the first edge of a
+    charged ring, at the earliest in the step after its spike, and the next
+    window plans from there. The steps before that edge are the ones step()
+    gives, since a charge changes only its own ring and that ring stays
+    below phase 1 in them. Each of these folds down the rows, of v_syn,
+    phase or membrane, is one _scan. A window holds fewer than
+    v_th / ((r_base + r_exc) * dt) rows, so no neuron fires twice in it,
+    fewer than 1 / (f_max * dt) - 1, so no ring wraps twice in it, and at
+    most _WINDOW_CELLS / N, so its planes stay in cache.
     NetworkConfig keeps both bounds above one row: it requires
     (r_base + r_exc) * dt < v_th, and check_dt requires f_max * dt < 0.5.
     """
@@ -291,10 +292,9 @@ class NetworkSim:
         # _WINDOW_CELLS / n. NetworkConfig requires (r_base + r_exc) * dt
         # < v_th and f_max * dt < 0.5, so both bounds exceed one row and
         # the one-row window that max(..., 1) leaves keeps them too.
-        p = self.neuron
-        self._phase_step = self.dt * self.synapse.f_max
+        p, phase_step = self.neuron, self.dt * self.synapse.f_max
         self._max_rows = max(min(math.floor(p.v_th / ((p.r_base + p.r_exc) * self.dt)) - 1,
-                                 math.floor((1.0 - 1e-9) / self._phase_step) - 1,
+                                 math.floor((1.0 - 1e-9) / phase_step) - 1,
                                  self._WINDOW_CELLS // self.n), 1)
         self._win = np.empty((6, self._max_rows + 1, self.n))  # window rows
 
@@ -407,8 +407,8 @@ class NetworkSim:
         level for every neuron, as train_force's feedback. Given rows,
         advance instead by up to rows steps as one window, at most
         self._max_rows of them, with a column of levels per step; the window
-        ends early after a step whose spike's charge could move its ring's
-        edge. The mask then has one row per committed step, self.edged marks
+        ends early at the first ring edge that a spike's charge brings into
+        it. The mask then has one row per committed step, self.edged marks
         every ring that wrapped in them, and self._win[2] and self._win[0]
         hold the membranes and v_syn after step r in row r + 1.
         """
@@ -504,10 +504,10 @@ class NetworkSim:
         fired; the plan finds every edge in [1], wraps its ring and fills
         [3] and [4] under all of the window's pulses. _membranes then only
         adds each rise, clamps and checks the threshold, for every row at
-        once. Of the window's spikes, the first whose charge could bring its
-        ring's edge into the window, or move it earlier, ends the window
-        after its row; the spikes of the committed rows are charged at the
-        end, all in one block.
+        once. _refold then charges the window's spikes, all in one block,
+        and the window commits the steps before the first edge that a
+        charge brings into it, or moves earlier in it: at least the step of
+        the first spike.
         """
         n, dt, s = self.n, self.dt, self.synapse
         sv, phase, v = self._win[:3, :rows + 1]
@@ -540,30 +540,11 @@ class NetworkSim:
 
         v[0] = self.v
         fired = self._membranes(v, x)
-        rs, cs = np.nonzero(fired)  # in step order
+        rs, cs = np.divmod(fired.reshape(-1).nonzero()[0], n)  # in step order
         if len(rs):
             sv_end, credit = self._charge(sv[rs + 1, cs], v[rs + 1, cs] / rate[rs, cs])
-            folded = phase[rs + 1, cs]  # each ring's phase without its charge
-            spike_phase = folded + credit
-            # A spike's charge can only bring its ring's edge into the
-            # window or earlier. A ring gains at most f_max * dt of phase
-            # per row and from its credit; after the charge its frequency
-            # only falls. One that cannot reach phase 1 by the window's end
-            # takes its charge there: until then its rows lack the charge,
-            # which only speeds a ring, so they show no false edge. The
-            # first that can ends the window after its row.
-            near = (folded >= 1.0 - 1e-9 - (rows - rs) * self._phase_step).nonzero()[0]
-            if len(near):
-                f_next = osc_frequency(sv_end[near] * self._mid_decay, s)
-                moves = (spike_phase[near] + (rows - 1 - rs[near]) * dt * f_next
-                         >= 1.0 - 1e-9)
-                if moves.any():
-                    rows = int(rs[near[moves.argmax()]]) + 1
-                    fired = fired[:rows]
-            done = int(np.searchsorted(rs, rows))  # the committed spikes
-            if done:
-                self._refold(rs[:done], cs[:done], rows, sv_end[:done],
-                             spike_phase[:done])
+            rows = self._refold(rs, cs, rows, sv_end, phase[rs + 1, cs] + credit)
+            fired = fired[:rows]
 
         # Each channel leaves with the until of its last union in the
         # committed rows; the unions follow by channel, then by row.
@@ -620,7 +601,7 @@ class NetworkSim:
                 start = np.where(fire, at, to - 1)
             _rescan(np.add, run, start, np.where(fire, total - v_th, 0.0))
             old = after[:, cols]
-            np.copyto(old, run, where=step >= at)  # a clamp's rows hold 0.0 up to start
+            np.putmask(old, step >= at, run)  # a clamp's rows hold 0.0 up to start
             after[:, cols] = old
             event = run < 0.0  # zeros before the start are no event
             event |= run >= v_th
@@ -641,7 +622,7 @@ class NetworkSim:
         block = np.multiply(freq[lo - 1:end, ids], self.dt)
         after = _rescan(np.add, block, edge_row + 1 - lo, phase[edge_row + 1, ids] - 1.0)
         old = phase[lo:end + 1, ids]
-        np.copyto(old, block, where=after)
+        np.putmask(old, after, block)
         phase[lo:end + 1, ids] = old
 
     def _plan(self, edge_row, offset, t0, outside, levels):
@@ -702,36 +683,53 @@ class NetworkSim:
         np.multiply(rate, dt, out=x)
         return c, r, after
 
-    def _refold(self, rs, cs, end: int, charged, spike_phase) -> None:
+    def _refold(self, rs, cs, rows: int, charged, spike_phase) -> int:
         """Apply the spikes of neurons cs in window rows rs (ascending, one
-        per neuron) to their synapses, up to the window's last state row
-        end: each v_syn is charged in its spike's state row, and there its
-        ring's phase is spike_phase.
+        per neuron) to their synapses: each v_syn is charged in its spike's
+        state row, and there its ring's phase is spike_phase. Returns the
+        steps the window commits: rows, or fewer if a charge brings its
+        ring's edge into them.
 
-        Each charged column is folded again from its spike on, in one block
-        of state rows; the block's rows before a column's spike then take
-        their old values back. The block lives in the level planes, which
-        the window no longer needs once rate has been read, and only the
-        last phase row is kept.
+        Each charged column is folded again from its spike on, up to the
+        window's last state row, in one block of state rows; the block's
+        rows before a column's spike then take their old values back. A
+        charged ring's first edge is in the first step after its spike that
+        ends at phase 1: a ring whose credit alone takes it there wraps at
+        the next step start. The window ends at the earliest such edge. Its
+        steps before that edge are the ones step() gives: a charge changes
+        only its own ring, which stays below phase 1 in them, and only
+        speeds it, so the plan put no edge of that ring there. A spike from
+        the end on is dropped; its own edge would come after it, so it
+        cannot end the window sooner. The block lives in the level planes,
+        which the window no longer needs once rate has been read, and of
+        the phases only the end row is kept.
         """
         sv, phase = self._win[:2]
         lo = int(rs[0]) + 1  # first state row that changes
-        shape = (end + 1 - lo, len(cs))
+        shape = (rows + 1 - lo, len(cs))
         old, new = (plane.reshape(-1)[:shape[0] * shape[1]].reshape(shape)
                     for plane in self._win[3:5])
         rel = rs + 1 - lo    # the spike's state row in the block
 
         new[...] = self._decay
         after = _rescan(np.multiply, new, rel, charged)
-        np.take(sv[lo:end + 1], cs, axis=1, out=old, mode="clip")
-        np.copyto(old, new, where=after)
-        sv[lo:end + 1, cs] = old
+        np.take(sv[lo:rows + 1], cs, axis=1, out=old, mode="clip")
+        np.putmask(old, after, new)
+        sv[lo:rows + 1, cs] = old
 
         f = np.multiply(old[:-1], self._mid_decay, out=new[1:])
         osc_frequency(f, self.synapse, out=f)
         f *= self.dt
         _rescan(np.add, new, rel, spike_phase)
-        phase[end, cs] = new[-1]
+        # A column's rows before its spike hold 0 and its phase grows from
+        # the spike on, so lo plus its rows past lo below 1 is its edge's
+        # step; where the credit alone took it to 1, that count stops one
+        # short of the step after the spike.
+        edge = np.maximum(lo + (new[1:] < 1.0).sum(axis=0), rs + 1)
+        end = min(rows, int(edge.min()))
+        done = int(np.searchsorted(rs, end))  # the committed spikes
+        phase[end, cs[:done]] = new[end - lo, :done]
+        return end
 
 
 def sample_stride(sample_interval: float, dt: float, n_steps: int) -> int:
@@ -772,7 +770,7 @@ class Recorder:
             self.v_syn[i:j] = sv[rows]
             self.n_samples = j
         if fired is not None and fired.any():
-            spike_rows, spike_ids = np.nonzero(fired)
+            spike_rows, spike_ids = np.divmod(fired.reshape(-1).nonzero()[0], self.sim.n)
             self._spike_steps.append(k + 1 + spike_rows)
             self._spike_ids.append(spike_ids)
 
@@ -812,9 +810,15 @@ def _external_pulses(external_inputs, n_neurons, dt, n_steps):
               for side, train in enumerate(pair) if train is not None]
     if not trains:
         return None
-    times = np.arange(n_steps) * dt
-    first = np.searchsorted(times, np.concatenate([train.rises for _, train in trains]))
-    stop = np.searchsorted(times, np.concatenate([train.ends for _, train in trains]))
+    # Per rise and end, the first step whose start is at or after it (or
+    # n_steps), as a search of np.arange(n_steps) * dt finds it, without
+    # that array: ceil(t / dt) is at most one step off either way.
+    t = np.array([np.concatenate([getattr(train, side) for _, train in trains])
+                  for side in ("rises", "ends")])
+    k = np.ceil(t / dt)
+    k -= (k - 1) * dt >= t
+    k += k * dt < t
+    first, stop = np.clip(k, 0, n_steps).astype(np.intp)
     keep = (first < stop).nonzero()[0]  # the pulses that cover a step start
     if not len(keep):
         return None

@@ -43,6 +43,24 @@ def test_random_topology_deterministic_and_frozen_count():
     assert np.array_equal(a.codes, b.codes)
 
 
+@pytest.mark.parametrize("n, p, seed", [(1, 0.5, 0), (7, 0.5, 3), (100, 0.1, 42),
+                                        (300, 0.02, 5)])
+def test_seeded_topology_takes_the_pairs_of_its_mask_in_row_order(n, p, seed):
+    # The pairs a 2-D np.nonzero gives for the seed's mask, and the
+    # polarities and codes drawn after them.
+    net = build_network(NetworkConfig(n_neurons=n, connection_probability=p, seed=seed))
+    rng = np.random.default_rng(seed)
+    mask = rng.random((n, n)) < p
+    np.fill_diagonal(mask, False)
+    pre, post = np.nonzero(mask)
+    is_exc = rng.random(len(pre)) < 0.5
+    codes = rng.integers(0, N_CODES, len(pre))
+    for name, expected in (("pre", pre), ("post", post), ("is_exc", is_exc),
+                           ("codes", codes)):
+        got = getattr(net, name)
+        assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes(), name
+
+
 def test_different_seeds_differ():
     cfg1 = NetworkConfig(n_neurons=50, connection_probability=0.2, seed=1)
     cfg2 = NetworkConfig(n_neurons=50, connection_probability=0.2, seed=2)
@@ -597,6 +615,56 @@ def test_simulate_gives_each_pulse_a_row_over_the_step_starts_it_covers():
     assert _external_pulses({0: (PulseTrain(), None)}, n, dt, n_steps) is None
 
 
+@pytest.mark.parametrize("dt", [1e-5, 7.3e-6])
+def test_external_pulse_steps_are_a_search_of_the_step_starts(dt):
+    # Each row's first and stop step are where a search of the step starts
+    # np.arange(n_steps) * dt puts its rise and end. Rises fall on step
+    # starts, an ulp to either side of them, between them, before 0 and
+    # past the run; ends fall on step starts too (a rise of 0 plus a width
+    # of k * dt is exactly k * dt).
+    n_steps = 50
+    starts = np.arange(n_steps) * dt
+    on = np.arange(-2, n_steps + 3) * dt
+    rng = np.random.default_rng(3)
+    rises = np.concatenate([on, np.nextafter(on, -1.0), np.nextafter(on, 1.0),
+                            rng.uniform(-3.0, n_steps + 5.0, 50) * dt])
+    widths = rng.uniform(0.1, 6.0, len(rises)) * dt
+    stops = np.arange(1, n_steps + 3)
+    n = len(rises)
+    inputs = {i: (PulseTrain([rise], [width]),
+                  PulseTrain([0.0], [stops[i % len(stops)] * dt]))
+              for i, (rise, width) in enumerate(zip(rises, widths))}
+    channel, rise, end = _external_pulses(inputs, n, dt, n_steps)
+
+    trains = [(i + side * n, train) for i, pair in inputs.items()
+              for side, train in enumerate(pair)]
+    first = np.searchsorted(starts, np.concatenate([t.rises for _, t in trains]))
+    stop = np.searchsorted(starts, np.concatenate([t.ends for _, t in trains]))
+    keep = first < stop
+    assert 0 < keep.sum() < len(keep)
+    expected = (np.concatenate([np.full(len(t), c) for c, t in trains])[keep],
+                first[keep] * dt, stop[keep] * dt)
+    for got, want in zip((channel, rise, end), expected):
+        assert got.tobytes() == want.tobytes()
+
+
+def test_a_pulse_row_costs_no_memory_per_step_of_the_run():
+    # One 100-us pulse over 1e7 steps (100 s at dt = 1e-5): the step starts
+    # of the whole run as an array would take 80 MB.
+    dt, n_steps = 1e-5, 10 ** 7
+    tracemalloc.start()
+    try:
+        channel, rise, end = _external_pulses({0: (PulseTrain([50.0], [1e-4]), None)},
+                                              1, dt, n_steps)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000
+    assert channel.tolist() == [0]
+    assert (rise / dt).round().tolist() == [5e6]
+    assert (end / dt).round().tolist() == [5e6 + 10]
+
+
 @pytest.mark.parametrize("inputs, message", [
     ({True: (periodic_train(100.0, 1e-4, 0.01), None)}, "key True: must be an int"),
     ({0.0: (periodic_train(100.0, 1e-4, 0.01), None)}, "key 0.0: must be an int"),
@@ -881,9 +949,9 @@ def test_spike_charge_brings_its_ring_wrap_into_the_window(kernel_calls):
     # Ring 0 is silent (v_syn = 0) until its neuron fires in step 10, 0.9
     # of a step after its crossing; the charge (delta_up = 1) runs it at
     # nearly f_max from there. Its phase is placed so that it wraps in the
-    # window's last row: the charge must end the window after step 10,
-    # and the bound that decides it must cover every row to the window's
-    # end. The next window holds the wrap.
+    # window's last row: the charge must end the window at that edge, so
+    # the refold that finds it must cover every row to the window's end.
+    # The next window holds the wrap.
     cfg = NetworkConfig(n_neurons=1,
                         synapse=SynapseParams(delta_up=1.0, tau_leak=10.0))
     p, dt = cfg.neuron, cfg.dt
@@ -903,7 +971,7 @@ def test_spike_charge_brings_its_ring_wrap_into_the_window(kernel_calls):
     phase0 = 1.0 - 0.5 * (gains[-1] + gains[-2])
     assert step_events(lambda: make_sim(phase0), rows) == ([(rows - 1, 0)], [(10, 0)])
     assert_advance_matches_steps(lambda: make_sim(phase0), [rows])
-    assert kernel_calls == [(rows, 11, False), (rows - 11, rows - 11, True)]
+    assert kernel_calls == [(rows, rows - 1, False), (1, 1, True)]
 
 
 def test_spike_far_from_its_edge_is_charged_at_the_window_end(kernel_calls):
@@ -929,8 +997,9 @@ def test_spike_far_from_its_edge_is_charged_at_the_window_end(kernel_calls):
 def test_ring_bound_sizes_the_windows_at_a_coarse_step(kernel_calls):
     # At dt * f_max = 0.3 a ring can wrap every fourth step, so a window
     # holds at most floor(1 / 0.3) - 1 = 2 rows, far below the neuron
-    # bound; edges and spikes still fall inside the windows. A spike whose
-    # charge could move its ring's edge ends a window after its first row.
+    # bound; edges and spikes still fall inside the windows. A spike in a
+    # window's first row whose charge gives its ring an edge in the second
+    # ends the window after its first row.
     cfg = NetworkConfig(n_neurons=20, connection_probability=0.2, seed=1,
                         synapse=SynapseParams(f_max=0.3 / 1e-5))
     net = build_network(cfg)
@@ -955,11 +1024,12 @@ def test_charge_moves_a_planned_edge_onto_a_channel_another_edge_drives(
         kernel_calls):
     # Ring 0 would wrap in step 71 of the window. Its neuron fires in step
     # 10, and the charge (delta_up = 1) moves the wrap to step 36, so the
-    # window ends after step 10 and drops the unions it planned. Ring 1
+    # window ends there and drops the unions it planned past it. Ring 1
     # runs at f_max (v_syn above saturation) and wraps half way into step
     # 31; its 50-us pulse on neuron 2's excitatory input still covers half
     # of step 36, where ring 0's moved 200-us pulse starts on that input:
-    # the next window plans both edges.
+    # the next window starts with that edge and chains its union from
+    # ring 1's.
     cfg = NetworkConfig(n_neurons=3, connections=[Connection(0, 2, "exc", 3),
                                                   Connection(1, 2, "exc", 0)],
                         synapse=SynapseParams(delta_up=1.0))
@@ -980,7 +1050,7 @@ def test_charge_moves_a_planned_edge_onto_a_channel_another_edge_drives(
     assert any(i == 2 for _, i in spikes)
     assert_advance_matches_steps(lambda: make_sim(v0), [rows])
     # neuron 2's spike in the second window waits for its end
-    assert kernel_calls == [(rows, 11, False), (rows - 11, rows - 11, True)]
+    assert kernel_calls == [(rows, 36, True), (rows - 36, rows - 36, True)]
 
 
 def test_edges_in_two_rows_chain_their_union_on_one_channel(kernel_calls):
@@ -1012,8 +1082,8 @@ def test_edges_in_two_rows_chain_their_union_on_one_channel(kernel_calls):
 def test_charge_moves_an_edge_into_the_windows_last_row(kernel_calls):
     # As in test_spike_charge_brings_its_ring_wrap_into_the_window, ring 0
     # is silent until its neuron fires in step 10, and the charge makes it
-    # wrap in step rows - 1: it ends the first window, and the wrap falls
-    # in the second window's last row. Its 800-us pulse on neuron 1 starts
+    # wrap in step rows - 1: the first window ends there, and the wrap
+    # falls in the second window's only row. Its 800-us pulse on neuron 1 starts
     # there and carries on into the third window.
     cfg = NetworkConfig(n_neurons=2, connections=[Connection(0, 1, "exc", 15)],
                         synapse=SynapseParams(delta_up=1.0, tau_leak=10.0))
@@ -1037,8 +1107,7 @@ def test_charge_moves_an_edge_into_the_windows_last_row(kernel_calls):
     assert any(i == 1 and k >= rows for k, i in spikes)
     assert_advance_matches_steps(lambda: make_sim(phase0), [rows, 60])
     # neuron 1 fires in the third window, charged at its end
-    assert kernel_calls == [(rows, 11, False), (rows - 11, rows - 11, True),
-                            (60, 60, False)]
+    assert kernel_calls == [(rows, rows - 1, False), (1, 1, True), (60, 60, False)]
 
 
 def test_charge_whose_ring_stays_silent_waits_for_the_window_end(kernel_calls):
@@ -1061,6 +1130,104 @@ def test_charge_whose_ring_stays_silent_waits_for_the_window_end(kernel_calls):
     assert_advance_matches_steps(make_sim, [rows])
     assert kernel_calls == [(rows, rows, False)]
 
+
+# ---------------------------------------------------------------------------
+# a window ends at the first edge that a spike's charge brings into it
+# ---------------------------------------------------------------------------
+
+def charged_edges(kernel_calls, run):
+    """Per window of a run: the rows asked for, the steps committed, and per
+    spike in those steps its row and the row of its ring's first edge after
+    it in the step loop, or the rows asked for if that edge is past them."""
+    windows, start = [], 0
+    for asked, kept, _ in kernel_calls:
+        spikes = []
+        for r, i in zip(*run["fired"][start:start + kept].nonzero()):
+            later = run["edged"][start + r + 1:start + asked, i].nonzero()[0]
+            spikes.append((int(r), int(r + 1 + later[0]) if len(later) else asked))
+        windows.append((asked, kept, spikes))
+        start += kept
+    return windows
+
+
+def cut_run(seed, driven, delta_up, kernel_calls):
+    """A 30-ms run of an N=20, p=0.2 network, free or with an excitatory
+    train on every neuron, through simulate and through a step loop; the
+    traces, sampled every step, are equal bytes. Returns charged_edges."""
+    duration = 0.03
+    net = build_network(NetworkConfig(n_neurons=20, connection_probability=0.2, seed=seed,
+                                      sample_interval=1e-5,
+                                      synapse=SynapseParams(delta_up=delta_up)))
+    rng = np.random.default_rng(seed)
+    inputs = {i: (periodic_train(rate, 2e-4, duration, start), None)
+              for i, (rate, start) in enumerate(zip(rng.uniform(20.0, 150.0, 20).tolist(),
+                                                    rng.uniform(0.0, 5e-3, 20).tolist()))
+              } if driven else None
+    expected = stepped_run(net, inputs, duration)
+    assert_same_traces(simulate(net, inputs, duration), expected)
+    return charged_edges(kernel_calls, expected)
+
+
+@pytest.mark.parametrize("delta_up", [0.5, 1.0])
+@pytest.mark.parametrize("driven", [False, True], ids=["free", "driven"])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_window_commits_the_steps_before_the_first_edge_a_charge_brings(seed, driven,
+                                                                        delta_up,
+                                                                        kernel_calls):
+    # Strong charges cut many windows. Each window commits its rows up to
+    # the first edge that one of its spikes gives its ring, and a cut
+    # window runs on past the row of the spike that cuts it.
+    windows = cut_run(seed, driven, delta_up, kernel_calls)
+    assert [kept for _, kept, _ in windows] == \
+        [min([asked] + [edge for _, edge in spikes]) for asked, _, spikes in windows]
+    assert any(kept < asked and any(edge == kept and row < kept - 1 for row, edge in spikes)
+               for asked, kept, spikes in windows)
+
+
+def test_later_spike_whose_ring_edges_first_ends_the_window(kernel_calls):
+    # Two spikes of one window could each bring their ring's edge into it;
+    # the later spike's ring edges first, and the window ends there.
+    windows = cut_run(0, False, 1.0, kernel_calls)
+    assert any(r1 < r2 and kept == e2 < e1 < asked
+               for asked, kept, spikes in windows
+               for r1, e1 in spikes for r2, e2 in spikes)
+
+
+@pytest.mark.parametrize("step", [0, 3])
+def test_credit_that_wraps_a_ring_ends_the_window_after_its_spike(step, kernel_calls):
+    # Neuron 0 fires in the given step, half a step after its crossing, and
+    # only its charge's phase credit takes its ring past 1, so the wrap
+    # goes out at the start of the next step: the first window ends there,
+    # and the next one holds the wrap in its first row. A spike in the
+    # window's first row so commits one step; a window of none would never
+    # let advance() end. Neuron 1 fires in step 0 far from its edge.
+    cfg = NetworkConfig(n_neurons=2, synapse=SynapseParams(delta_up=1.0))
+    v_th, r_base, dt = cfg.neuron.v_th, cfg.neuron.r_base, cfg.dt
+    v0 = v_th - (step + 0.5) * r_base * dt
+
+    def make_sim(v, phase):
+        sim = NetworkSim(build_network(cfg))
+        sim.v[:] = [v, v_th - 0.5 * r_base * dt]
+        sim.sv[:] = [0.5, 0.0]
+        sim.sphase[:] = [phase, 0.0]
+        return sim
+
+    def phase_after_spike(sim):
+        for _ in range(step + 1):
+            sim.step()
+        return sim.sphase[0]
+
+    phase0 = 1.0 - 0.5 * (phase_after_spike(make_sim(v0, 0.0))
+                          + phase_after_spike(make_sim(0.0, 0.0)))
+    probe = make_sim(v0, phase0)
+    assert phase_after_spike(probe) >= 1.0 and not probe.edged[0]
+    assert step_events(lambda: make_sim(v0, phase0), 20) == \
+        ([(step + 1, 0)], sorted([(0, 1), (step, 0)]))
+
+    assert len(make_sim(v0, phase0).step(rows=20)) == step + 1
+    kernel_calls.clear()
+    assert_advance_matches_steps(lambda: make_sim(v0, phase0), [20])
+    assert kernel_calls == [(20, step + 1, False), (19 - step, 19 - step, True)]
 
 # ---------------------------------------------------------------------------
 # Every fold down a window's rows, by accumulate and by row loop
