@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import ConfigurationError
 from .neuron import NeuronParams
-from .pulses import PulseTrain, check_duration
+from .pulses import PulseTrain, check_duration, step_search
 from .synapse import SynapseParams, check_dt, osc_frequency
 from .weight import WeightParams, N_CODES, pulse_width
 
@@ -316,8 +316,7 @@ class NetworkSim:
         _start_pulses gives pulses: channel, start and end (s into the step
         of the rise, clipped at the first step's start) and window row."""
         channel, rise, end = pulses
-        row = np.searchsorted(np.arange(self.k + 1, self.k + rows + 1) * self.dt, rise,
-                              side="right")
+        row = np.maximum(step_search(rise, self.dt, "right") - self.k - 1, 0)
         keep = (row < rows).nonzero()[0]
         row = row[keep]
         t0 = (self.k + row) * self.dt
@@ -401,16 +400,18 @@ class NetworkSim:
     def step(self, pulses=None, levels=None, rows: Optional[int] = None) -> np.ndarray:
         """Advance by dt; returns the fired mask for this step.
 
-        pulses holds (channel, rise, end) arrays of outside pulses: those
-        that rise before the step's end act from their rise, or from its
-        start if earlier. levels holds an excitatory and an inhibitory
-        level for every neuron, as train_force's feedback. Given rows,
+        pulses holds (channel, rise, end) arrays of outside pulses: those that
+        rise before the step's end act from their rise, or from its start if
+        earlier. levels holds an excitatory and an inhibitory level, as
+        train_force's feedback: one pair for all neurons, which only the single
+        step, the windows' oracle, also takes as per-neuron arrays. Given rows,
         advance instead by up to rows steps as one window, at most
-        self._max_rows of them, with a column of levels per step; the window
-        ends early at the first ring edge that a spike's charge brings into
-        it. The mask then has one row per committed step, self.edged marks
-        every ring that wrapped in them, and self._win[2] and self._win[0]
-        hold the membranes and v_syn after step r in row r + 1.
+        self._max_rows of them, with levels of shape (2, rows), one pair per
+        step for all neurons; the window ends early at the first ring edge that
+        a spike's charge brings into it. The mask then has one row per
+        committed step, self.edged marks every ring that wrapped in them, and
+        rows r + 1 of self._win[2] and self._win[0] hold the membranes and
+        v_syn after step r.
         """
         if rows is None:
             return self._step(pulses, levels)
@@ -464,11 +465,11 @@ class NetworkSim:
                 recorder: Optional["Recorder"] = None) -> None:
         """Advance by n_steps steps, bit-identical to as many step() calls.
 
-        pulses and levels are as for step(), with a column of levels per
-        step; each window gets the pulses that rise in its steps (or before
-        the first), and those that rise after the last are dropped. The
-        recorder, if given, receives the state after every step and the
-        spikes.
+        pulses are as for step(), and levels has shape (2, n_steps): one
+        (excitatory, inhibitory) pair per step for all neurons. Each window
+        gets the pulses that rise in its steps (or before the first), and
+        those that rise after the last are dropped. The recorder, if given,
+        receives the state after every step and the spikes.
         """
         if pulses is not None:
             order = np.argsort(pulses[1], kind="stable")
@@ -791,9 +792,8 @@ class Recorder:
 
 
 def _external_pulses(external_inputs, n_neurons, dt, n_steps):
-    """Check external_inputs and give their pulses as (channel, rise, end)
-    rows for advance, or None for none. A row runs over the steps whose
-    start its pulse covers, as PulseTrain.step_levels samples them."""
+    """Check external_inputs; give their pulses as rows (channel, rise, end)
+    over the steps each drives (see the pulses module), or None for none."""
     if not external_inputs:
         return None
     for idx, pair in external_inputs.items():
@@ -810,15 +810,8 @@ def _external_pulses(external_inputs, n_neurons, dt, n_steps):
               for side, train in enumerate(pair) if train is not None]
     if not trains:
         return None
-    # Per rise and end, the first step whose start is at or after it (or
-    # n_steps), as a search of np.arange(n_steps) * dt finds it, without
-    # that array: ceil(t / dt) is at most one step off either way.
-    t = np.array([np.concatenate([getattr(train, side) for _, train in trains])
-                  for side in ("rises", "ends")])
-    k = np.ceil(t / dt)
-    k -= (k - 1) * dt >= t
-    k += k * dt < t
-    first, stop = np.clip(k, 0, n_steps).astype(np.intp)
+    t = np.hstack([[train.rises, train.ends] for _, train in trains])
+    first, stop = np.minimum(step_search(t, dt), n_steps)
     keep = (first < stop).nonzero()[0]  # the pulses that cover a step start
     if not len(keep):
         return None
@@ -832,11 +825,10 @@ def simulate(network: Network, external_inputs=None, duration: float = 1.0) -> T
     external_inputs maps a neuron index to a pair (excitatory PulseTrain,
     inhibitory PulseTrain); either entry may be None. A key that is not an
     int neuron index in range, or a value that is not such a pair, raises
-    ConfigurationError. Trains extending past the duration are accepted,
-    the excess is ignored. Each pulse becomes a row over the steps whose
-    start it covers, and the run is one NetworkSim.advance call over them,
-    which commits its steps in windows of array rows and is bit-identical
-    to stepping.
+    ConfigurationError. Trains extending past the duration are accepted, the
+    excess is ignored. Each pulse becomes a row over the steps it drives,
+    and the run is one NetworkSim.advance call over them, which commits its
+    steps in windows of array rows and is bit-identical to stepping.
     """
     check_duration(duration)
     cfg = network.config

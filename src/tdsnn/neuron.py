@@ -91,9 +91,9 @@ def run_neuron(params: NeuronParams, duration: float, dt: float,
                record: bool = False):
     """Run neuron_step from v = 0 under optional pulse drive, event by event.
 
-    Each train is sampled at the step starts, and step k adds
-    x[k] = rate*dt to the membrane. The membrane is the running sum that
-    phase_wraps folds with the threshold v_th as its top, so the result is
+    Each train drives the steps whose start it covers (see the pulses
+    module), and step k adds x[k] = rate*dt to the membrane. The membrane is
+    the running sum that phase_wraps folds with v_th as its top, so it is
     bit-identical to looping v, fired = neuron_step(v, params, exc[k],
     inh[k], dt), while the Python loop runs once per event (a spike, a
     clamp at 0 or a chunk of steps). Returns (spike_times, trace) where
@@ -105,8 +105,7 @@ def run_neuron(params: NeuronParams, duration: float, dt: float,
     _check_dt(dt)
     check_duration(duration)
     n = int(round(duration / dt))
-    exc, inh = [np.zeros(n, dtype=bool) if train is None else train.step_levels(dt, n)
-                for train in (exc_train, inh_train)]
+    exc, inh = [(train or PulseTrain()).step_levels(dt, n) for train in (exc_train, inh_train)]
     xs = np.array([_net_rate(params, e, i) * dt
                    for e, i in ((False, False), (True, False), (False, True), (True, True))])
     v_mem = np.zeros(n + 1) if record else None

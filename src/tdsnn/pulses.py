@@ -3,6 +3,10 @@
 A pulse train is the wire format between circuit modules: an ordered list of
 (rise time, width) pairs. Pulse frequency carries activity, pulse width
 carries coupling strength.
+
+Step k covers [k*dt, (k+1)*dt). An instant t, such as a spike, lands in step
+step_search(t, dt, "right") - 1, and a pulse drives the steps whose start it
+covers: step_search(rise, dt) up to, not including, step_search(end, dt).
 """
 
 from __future__ import annotations
@@ -60,17 +64,22 @@ class PulseTrain:
         return self.rises + self.widths
 
     def step_levels(self, dt: float, n_steps: int) -> np.ndarray:
-        """Boolean level per simulation step, sampled at step start times.
+        """Boolean level per step, high on the steps a pulse drives (module docstring)."""
+        # first, stop of each pulse in turn: ordered, as the pulses do not overlap
+        bounds = np.minimum(step_search([self.rises, self.ends], dt).T.ravel(), n_steps)
+        return np.repeat(np.arange(len(bounds) + 1) % 2 == 1,
+                         np.diff(bounds, prepend=0, append=n_steps))
 
-        A pulse covers the half-open interval [rise, rise + width).
-        """
-        times = np.arange(n_steps) * dt
-        if len(self.rises) == 0:
-            return np.zeros(times.shape, dtype=bool)
-        idx = np.searchsorted(self.rises, times, side="right") - 1
-        valid = idx >= 0
-        idx = np.clip(idx, 0, None)
-        return valid & (times < self.rises[idx] + self.widths[idx])
+
+def step_search(t, dt: float, side: str = "left") -> np.ndarray:
+    """np.searchsorted(np.arange(n) * dt, t, side) for an n past every t,
+    without that array: ceil(t / dt), moved by at most one step."""
+    t = np.asarray(t, dtype=float)
+    before = np.less_equal if side == "right" else np.less  # the starts k * dt it counts
+    k = np.ceil(t / dt)
+    k -= ~before((k - 1) * dt, t)
+    k += before(k * dt, t)
+    return np.maximum(k, 0).astype(np.intp)
 
 
 def regular_times(freq_hz: float, duration: float,

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError
-from .pulses import check_duration
+from .pulses import check_duration, step_search
 
 
 @dataclass(frozen=True)
@@ -164,13 +164,13 @@ def run_synapse(params: SynapseParams, spike_times, duration: float, dt: float,
     """Run synapse_step from rest, charged by the given presynaptic spike
     times, event by event.
 
-    A spike landing in [k*dt, (k+1)*dt) charges the synapse during step k,
-    and spikes outside [0, duration) are dropped. The result is
-    bit-identical to looping v_syn, phase, edges = synapse_step(v_syn,
-    phase, params, spike_in[k], dt), but the Python loop runs
-    once per event (a spike, a ring wrap or a silent stretch). Between
-    spikes v_syn is the running product v*decay*decay*..., folded in order
-    by np.multiply.accumulate; the ring phase is folded by phase_wraps (a
+    A spike charges the synapse during the step that holds it (see the
+    pulses module), and spikes outside [0, duration) are dropped. The result
+    is bit-identical to looping v_syn, phase, edges = synapse_step(v_syn,
+    phase, params, spike_in[k], dt), but the Python loop runs once per event
+    (a spike, a ring wrap or a silent stretch). Between spikes v_syn is the
+    running product v*decay*decay*..., folded in order by
+    np.multiply.accumulate; the ring phase is folded by phase_wraps (a
     silent step adds 0). Returns (edge_times, trace) with trace = (times,
     v_syn, freq) when record=True, each holding the value before the first
     step and after each step, else None.
@@ -178,7 +178,7 @@ def run_synapse(params: SynapseParams, spike_times, duration: float, dt: float,
     check_dt(params, dt)
     check_duration(duration)
     n = int(round(duration / dt))
-    idx = np.floor(np.asarray(spike_times, dtype=float) / dt).astype(int)
+    idx = step_search(spike_times, dt, "right") - 1
     decay = math.exp(-dt / params.tau_leak)
     v = np.full(n + 1, decay)
     v[0] = 0.0

@@ -241,12 +241,11 @@ def step_synapse(params, flags, dt):
 
 
 def spike_flags(spike_times, duration, dt):
-    flags = [False] * int(round(duration / dt))
-    for t in spike_times:
-        k = math.floor(t / dt)
-        if 0 <= k < len(flags):
-            flags[k] = True
-    return flags
+    """A flag on each step [k*dt, (k+1)*dt) that holds a spike time."""
+    flags = np.zeros(int(round(duration / dt)), dtype=bool)
+    k = np.searchsorted(np.arange(len(flags) + 1) * dt, spike_times, "right") - 1
+    flags[k[(k >= 0) & (k < len(flags))]] = True
+    return flags.tolist()
 
 
 def assert_runs_match_step_loops(nparams, sparams, duration, dt, exc=None,

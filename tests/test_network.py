@@ -12,6 +12,7 @@ from tdsnn import (ConfigurationError, Connection, Network, NetworkConfig,
                    weighted_drive)
 from tdsnn import network
 from tdsnn.network import Recorder, _external_pulses
+from tdsnn.pulses import step_search
 from tdsnn.measure import run_neuron
 from tdsnn.synapse import osc_frequency
 from tdsnn.weight import N_CODES
@@ -522,6 +523,19 @@ def edge_case_trains(dt):
     return exact, early
 
 
+@pytest.mark.parametrize("dt", [2.0 ** -13, 7.3e-6])
+def test_step_levels_are_high_on_the_step_starts_a_pulse_covers(dt):
+    # Against a sample of every step start t: the last pulse rising at or
+    # before t covers it if it ends after t.
+    n_steps = 450
+    starts = np.arange(n_steps) * dt
+    rng = np.random.default_rng(11)
+    for train in (*edge_case_trains(dt), random_train(rng, dt), PulseTrain()):
+        idx = np.searchsorted(train.rises, starts, side="right") - 1
+        expected = [i >= 0 and t < train.ends[i] for i, t in zip(idx, starts)]
+        assert train.step_levels(dt, n_steps).tolist() == expected
+
+
 def covered_fraction(pulses, t0, dt):
     """The fraction of the step [t0, t0 + dt) that the union of the
     [rise, end) pulses covers."""
@@ -616,36 +630,23 @@ def test_simulate_gives_each_pulse_a_row_over_the_step_starts_it_covers():
 
 
 @pytest.mark.parametrize("dt", [1e-5, 7.3e-6])
-def test_external_pulse_steps_are_a_search_of_the_step_starts(dt):
-    # Each row's first and stop step are where a search of the step starts
-    # np.arange(n_steps) * dt puts its rise and end. Rises fall on step
-    # starts, an ulp to either side of them, between them, before 0 and
-    # past the run; ends fall on step starts too (a rise of 0 plus a width
-    # of k * dt is exactly k * dt).
+def test_step_search_is_a_search_of_the_step_starts(dt):
+    # step_search gives what a search of the step starts np.arange(n) * dt
+    # gives, for times on step starts, an ulp to either side of them,
+    # between them, before 0 and past the run, and for the products
+    # (k + 1) * dt that date run_neuron's spikes; floor(t / dt) puts some
+    # of those a step low.
     n_steps = 50
-    starts = np.arange(n_steps) * dt
     on = np.arange(-2, n_steps + 3) * dt
     rng = np.random.default_rng(3)
-    rises = np.concatenate([on, np.nextafter(on, -1.0), np.nextafter(on, 1.0),
-                            rng.uniform(-3.0, n_steps + 5.0, 50) * dt])
-    widths = rng.uniform(0.1, 6.0, len(rises)) * dt
-    stops = np.arange(1, n_steps + 3)
-    n = len(rises)
-    inputs = {i: (PulseTrain([rise], [width]),
-                  PulseTrain([0.0], [stops[i % len(stops)] * dt]))
-              for i, (rise, width) in enumerate(zip(rises, widths))}
-    channel, rise, end = _external_pulses(inputs, n, dt, n_steps)
-
-    trains = [(i + side * n, train) for i, pair in inputs.items()
-              for side, train in enumerate(pair)]
-    first = np.searchsorted(starts, np.concatenate([t.rises for _, t in trains]))
-    stop = np.searchsorted(starts, np.concatenate([t.ends for _, t in trains]))
-    keep = first < stop
-    assert 0 < keep.sum() < len(keep)
-    expected = (np.concatenate([np.full(len(t), c) for c, t in trains])[keep],
-                first[keep] * dt, stop[keep] * dt)
-    for got, want in zip((channel, rise, end), expected):
-        assert got.tobytes() == want.tobytes()
+    products = (np.arange(200_000) + 1) * dt
+    t = np.concatenate([on, np.nextafter(on, -1.0), np.nextafter(on, 1.0),
+                        rng.uniform(-3.0, n_steps + 5.0, 50) * dt, products])
+    starts = np.arange(len(products) + 3) * dt
+    for side in ("left", "right"):
+        expected = np.searchsorted(starts, t, side).astype(np.intp)
+        assert step_search(t, dt, side).tobytes() == expected.tobytes(), side
+    assert (np.floor(products / dt) < np.arange(1, len(products) + 1)).any()
 
 
 def test_a_pulse_row_costs_no_memory_per_step_of_the_run():

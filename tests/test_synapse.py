@@ -74,12 +74,32 @@ def test_simulated_presyn_v_matches_fixed_point_within_1pct():
     duration = 2.0
     spikes = np.arange(0.0, duration, 1.0 / rate)
     _, (times, vs, _) = run_synapse(params, spikes, duration, dt, record=True)
-    # the cycle minimum sits right before each charge step (floor binning,
-    # same convention as run_synapse)
-    idx = np.floor(spikes[-100:] / dt).astype(int)
+    # the cycle minimum sits right before each charge step, the step
+    # [k*dt, (k+1)*dt) that holds the spike
+    idx = np.searchsorted(times, spikes[-100:], "right") - 1
     pre_vals = vs[idx]
     oracle = fixed_point_oracle(rate, params)
     assert np.allclose(pre_vals, oracle, rtol=0.01)
+
+
+def test_a_spike_on_a_step_end_charges_the_next_step():
+    # A spike at (k + 1) * dt, as run_neuron dates one, lies in step k + 1,
+    # [(k + 1) * dt, (k + 2) * dt), and charges the synapse there. For some
+    # k, (k + 1) * dt / dt rounds below k + 1, so floor(t / dt) puts the
+    # spike in step k.
+    params = SynapseParams()
+    dt, n = 1e-5, 2100
+    spikes = (np.arange(2000) + 1) * dt
+    assert (np.floor(spikes / dt) < np.arange(1, 2001)).any()
+    _, (_, v, _) = run_synapse(params, spikes, n * dt, dt, record=True)
+    decay = math.exp(-dt / params.tau_leak)
+    expected = [0.0]
+    for step in range(n):
+        pre = expected[-1]
+        if 1 <= step <= 2000:
+            pre += params.delta_up * (params.v_max - pre)
+        expected.append(pre * decay)
+    assert v.tolist() == expected
 
 
 def test_steady_state_frequency_matches_long_simulation():
